@@ -13,7 +13,11 @@
 
 namespace serigraph {
 
-/// Thread-safe monotonically increasing counter.
+/// Thread-safe monotonically increasing counter. It is one process-shared
+/// atomic cell: every Add from a different core moves its cache line, so
+/// it is not meant for per-vertex or per-message updates. Hot loops tally
+/// into a local and Add once per batch (the engine folds once per
+/// partition run; docs/PERF.md, "Hot-path statistics").
 class Counter {
  public:
   Counter() : value_(0) {}

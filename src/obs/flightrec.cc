@@ -51,15 +51,39 @@ FlightRecorder& FlightRecorder::Get() {
 }
 
 FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  static thread_local Ring* tls_ring = nullptr;
-  if (tls_ring == nullptr) {
-    auto ring = std::make_unique<Ring>();
+  static thread_local RingLease lease;
+  if (lease.ring == nullptr) {
     sy::MutexLock lock(&rings_mu_);
-    ring->tid = static_cast<uint32_t>(rings_.size());
-    tls_ring = ring.get();
-    rings_.push_back(std::move(ring));
+    if (free_rings_.empty()) {
+      rings_.push_back(std::make_unique<Ring>());
+      free_rings_.push_back(rings_.back().get());
+    }
+    Ring* ring = free_rings_.back();
+    free_rings_.pop_back();
+    // The previous owner's events leave the snapshot here but stay in
+    // event_count(). Its last writes happened before it released the
+    // ring under rings_mu_.
+    // mo: best-effort ring; snapshots may tear
+    const uint64_t head = ring->head.load(std::memory_order_relaxed);
+    reused_events_ += static_cast<int64_t>(head);
+    // mo: best-effort ring; snapshots may tear
+    ring->head.store(0, std::memory_order_relaxed);
+    ring->tid = next_tid_++;
+    lease.ring = ring;
   }
-  return tls_ring;
+  return lease.ring;
+}
+
+FlightRecorder::RingLease::~RingLease() {
+  if (ring != nullptr) FlightRecorder::Get().ReleaseRing(ring);
+  // A record from a later thread-exit destructor then takes a ring of its
+  // own instead of writing into one another thread may already own.
+  ring = nullptr;
+}
+
+void FlightRecorder::ReleaseRing(Ring* ring) {
+  sy::MutexLock lock(&rings_mu_);
+  free_rings_.push_back(ring);
 }
 
 void FlightRecorder::Record(const char* name, char ph, int64_t ts_us,
@@ -163,7 +187,7 @@ std::string FlightRecorder::TailChromeTraceJson() const {
 
 int64_t FlightRecorder::event_count() const {
   sy::MutexLock lock(&rings_mu_);
-  int64_t total = 0;
+  int64_t total = reused_events_;
   for (const auto& ring : rings_) {
     // mo: best-effort ring; snapshots may tear
     total += static_cast<int64_t>(ring->head.load(std::memory_order_relaxed));
@@ -171,8 +195,14 @@ int64_t FlightRecorder::event_count() const {
   return total;
 }
 
+size_t FlightRecorder::ring_count() const {
+  sy::MutexLock lock(&rings_mu_);
+  return rings_.size();
+}
+
 void FlightRecorder::ResetForTest() {
   sy::MutexLock lock(&rings_mu_);
+  reused_events_ = 0;
   for (auto& ring : rings_) {
     // mo: best-effort ring; snapshots may tear
     ring->head.store(0, std::memory_order_relaxed);

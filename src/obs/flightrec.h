@@ -89,6 +89,12 @@ class FlightRecorder {
   /// Total events ever recorded (including overwritten ones).
   int64_t event_count() const;
 
+  /// Rings allocated so far. A thread's ring returns to a free list when
+  /// the thread exits and the next new thread reuses it, so this is the
+  /// peak number of recording threads alive at once, not the number of
+  /// threads ever created.
+  size_t ring_count() const;
+
   /// Drops all retained events (the rings stay registered). Tests only.
   void ResetForTest();
 
@@ -100,14 +106,26 @@ class FlightRecorder {
     std::atomic<char> ph{0};
   };
   struct Ring {
+    /// Written under rings_mu_ when a thread takes the ring.
     uint32_t tid = 0;
-    std::atomic<uint64_t> head{0};  ///< next slot to write (monotonic)
+    /// Next slot to write; monotonic while one thread owns the ring.
+    std::atomic<uint64_t> head{0};
     Slot slots[kRingCapacity];
+  };
+  /// Thread-local owner of the calling thread's ring: its destructor, run
+  /// at thread exit, hands the ring back to free_rings_.
+  struct RingLease {
+    Ring* ring = nullptr;
+    RingLease() = default;
+    ~RingLease();
+    RingLease(const RingLease&) = delete;
+    RingLease& operator=(const RingLease&) = delete;
   };
 
   FlightRecorder() = default;
   void Record(const char* name, char ph, int64_t ts_us, int64_t value);
   Ring* RingForThisThread();
+  void ReleaseRing(Ring* ring);
 
   static std::atomic<bool> enabled_;
 
@@ -115,6 +133,12 @@ class FlightRecorder {
   /// never held while recording.
   mutable sy::Mutex rings_mu_;
   std::vector<std::unique_ptr<Ring>> rings_ SY_GUARDED_BY(rings_mu_);
+  /// Rings of exited threads, waiting for a new thread. Their events
+  /// stay visible to Snapshot() until the ring is taken again.
+  std::vector<Ring*> free_rings_ SY_GUARDED_BY(rings_mu_);
+  uint32_t next_tid_ SY_GUARDED_BY(rings_mu_) = 0;
+  /// Events recorded into rings before they were reused (event_count()).
+  int64_t reused_events_ SY_GUARDED_BY(rings_mu_) = 0;
 };
 
 /// Process-wide health, fed by the watchdog (deadlock/stall

@@ -276,6 +276,39 @@ class Engine {
   /// lands in) stays within L1/L2 while amortizing the shard locks.
   static constexpr size_t kLocalBinFlushRecords = 512;
 
+  /// What one partition run (or one constrained-BSP logical superstep)
+  /// accumulates privately. Only the thread executing the run touches
+  /// it, so every field is a plain store; FoldRun publishes it once, when
+  /// the run ends.
+  struct PartitionRun {
+    LocalAggregates aggregates;
+    /// Remote-send staging; null when staging is off.
+    SendStaging* staging = nullptr;
+    /// Tallies behind pregel.vertex_executions / messages_sent /
+    /// local_sends and the worker's timeline row. A shared cell written
+    /// per vertex execution turns every compute thread's update into a
+    /// cache-line transfer (docs/PERF.md, "Hot-path statistics").
+    int64_t executions = 0;
+    int64_t messages = 0;
+    int64_t local_sends = 0;
+  };
+
+  /// Holds one unit of pregel.max_concurrent_executions while a
+  /// partition-wide grant (kNone, kPartitionLock) executes, released on
+  /// every exit path including the abort returns.
+  class PartitionGrant {
+   public:
+    explicit PartitionGrant(MaxGauge* gauge) : gauge_(gauge) {
+      gauge_->Add(1);
+    }
+    ~PartitionGrant() { gauge_->Add(-1); }
+    PartitionGrant(const PartitionGrant&) = delete;
+    PartitionGrant& operator=(const PartitionGrant&) = delete;
+
+   private:
+    MaxGauge* gauge_;
+  };
+
   struct WorkerState final : public WorkerHandle {
     Engine* engine = nullptr;
     WorkerId id = kInvalidWorker;
@@ -287,6 +320,8 @@ class Engine {
 
     /// Per-superstep accumulators for the timeline (atomic because a
     /// worker may run several compute threads); drained at each barrier.
+    /// The execution and message counts arrive once per partition run
+    /// (FoldRun).
     std::atomic<int64_t> ss_executions{0};
     std::atomic<int64_t> ss_messages{0};
     std::atomic<int64_t> ss_fork_wait_us{0};
@@ -342,15 +377,13 @@ class Engine {
   class Context {
    public:
     Context(Engine* engine, WorkerState* worker, VertexId vertex,
-            int superstep, uint64_t version, LocalAggregates* aggregates,
-            SendStaging* staging)
+            int superstep, uint64_t version, PartitionRun* run)
         : engine_(engine),
           worker_(worker),
           vertex_(vertex),
           superstep_(superstep),
           version_(version),
-          aggregates_(aggregates),
-          staging_(staging) {}
+          run_(run) {}
 
     VertexId id() const { return vertex_; }
     int superstep() const { return superstep_; }
@@ -372,7 +405,7 @@ class Engine {
     /// the serializability guarantees to apply; see paper Section 3.1).
     void SendTo(VertexId target, const Message& message) {
       ++sent_count_;
-      engine_->SendMessage(*worker_, staging_, vertex_, target, message,
+      engine_->SendMessage(*worker_, *run_, vertex_, target, message,
                            version_);
     }
 
@@ -398,13 +431,13 @@ class Engine {
     /// result of superstep s-1 (0 if the slot was never used). A slot
     /// must be used with one operation consistently.
     void AggregateSum(int slot, double value) {
-      aggregates_->Fold(slot, AggOp::kSum, value);
+      run_->aggregates.Fold(slot, AggOp::kSum, value);
     }
     void AggregateMin(int slot, double value) {
-      aggregates_->Fold(slot, AggOp::kMin, value);
+      run_->aggregates.Fold(slot, AggOp::kMin, value);
     }
     void AggregateMax(int slot, double value) {
-      aggregates_->Fold(slot, AggOp::kMax, value);
+      run_->aggregates.Fold(slot, AggOp::kMax, value);
     }
     double AggregatedValue(int slot) const {
       return engine_->global_aggregates_[slot];
@@ -415,8 +448,8 @@ class Engine {
 
     bool voted_halt() const { return voted_halt_; }
     bool sent_any() const { return sent_count_ != 0; }
-    /// Messages sent by this execution; the caller batches them into the
-    /// shared counters once per vertex instead of once per message.
+    /// Messages sent by this execution; the caller adds them to the
+    /// run's tally once per vertex instead of once per message.
     int64_t sent_count() const { return sent_count_; }
 
    private:
@@ -425,8 +458,7 @@ class Engine {
     VertexId vertex_;
     int superstep_;
     uint64_t version_;
-    LocalAggregates* aggregates_;
-    SendStaging* staging_;
+    PartitionRun* run_;
     bool voted_halt_ = false;
     int64_t sent_count_ = 0;
   };
@@ -588,11 +620,12 @@ class Engine {
     }
   }
 
-  void SendMessage(WorkerState& worker, SendStaging* staging, VertexId src,
+  void SendMessage(WorkerState& worker, PartitionRun& run, VertexId src,
                    VertexId dst, const Message& message, uint64_t version) {
+    SendStaging* staging = run.staging;
     const WorkerId dst_worker = partitioning_.WorkerOf(dst);
     if (dst_worker == worker.id) {
-      local_sends_->Increment();
+      ++run.local_sends;
       if (staging != nullptr && bsp_local_bins_) {
         // BSP only: the message is invisible until the next superstep
         // anyway, so it can sit in a cache-resident per-destination-
@@ -963,13 +996,33 @@ class Engine {
 
   // --- vertex execution ----------------------------------------------
 
+  /// True when the technique grants permission one vertex at a time, so
+  /// pregel.max_concurrent_executions is held per executed vertex; the
+  /// partition-wide grants hold it per partition run (PartitionGrant).
+  bool GrantsPerVertex() const {
+    return granularity_ != SyncTechnique::Granularity::kNone &&
+           granularity_ != SyncTechnique::Granularity::kPartitionLock;
+  }
+
+  /// Publishes a finished run's private state: one write per shared cell
+  /// per run instead of one per vertex execution or send.
+  void FoldRun(WorkerState& worker, const PartitionRun& run) {
+    executions_->Add(run.executions);
+    messages_sent_->Add(run.messages);
+    local_sends_->Add(run.local_sends);
+    // mo: per-superstep stat
+    worker.ss_executions.fetch_add(run.executions, std::memory_order_relaxed);
+    // mo: per-superstep stat
+    worker.ss_messages.fetch_add(run.messages, std::memory_order_relaxed);
+    worker.aggregates.MergeFrom(run.aggregates);
+  }
+
   /// Executes `v` if it is active or has messages. Returns true if the
   /// vertex actually ran. Caller must already hold the technique's
   /// permission (fork/token) for `v`.
   bool ExecuteVertexIfEligible(WorkerState& worker, PartitionStore& ps,
                                const Program& program, VertexId v,
-                               int superstep, LocalAggregates& aggregates,
-                               SendStaging* staging) {
+                               int superstep, PartitionRun& run) {
     if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
     if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
     // BSP consumes a zero-copy span of the partition's flat buffer (no
@@ -1006,25 +1059,16 @@ class Engine {
     }
     if (messages.empty() && !ps.active_bits.Test(li)) return false;
 
-    executions_->Increment();
-    // mo: per-superstep stat
-    worker.ss_executions.fetch_add(1, std::memory_order_relaxed);
-    concurrency_->Add(1);
+    ++run.executions;
+    const bool per_vertex_grant = GrantsPerVertex();
+    if (per_vertex_grant) concurrency_->Add(1);
     uint64_t version = 0;
     if (recorder_ != nullptr) {
       version = recorder_->OnTxnBegin(worker.id, v, superstep);
     }
-    Context ctx(this, &worker, v, superstep, version, &aggregates, staging);
+    Context ctx(this, &worker, v, superstep, version, &run);
     program.Compute(ctx, messages);
-    // Shared send counters update once per execution, not once per
-    // message — 1.8M relaxed fetch_adds per PageRank superstep were
-    // measurable on the profile.
-    const int64_t sent = ctx.sent_count();
-    if (sent != 0) {
-      messages_sent_->Add(sent);
-      // mo: per-superstep stat
-      worker.ss_messages.fetch_add(sent, std::memory_order_relaxed);
-    }
+    run.messages += ctx.sent_count();
     // Per-vertex execution is exclusive, so only this thread flips this
     // bit right now; the atomic word RMW keeps neighbors' concurrent
     // flips of sibling bits intact, and the barrier publishes the word
@@ -1040,7 +1084,7 @@ class Engine {
     if (recorder_ != nullptr) {
       recorder_->OnTxnEnd(worker.id, v, ctx.sent_any());
     }
-    concurrency_->Add(-1);
+    if (per_vertex_grant) concurrency_->Add(-1);
     return true;
   }
 
@@ -1068,30 +1112,31 @@ class Engine {
     PartitionStore& ps = *stores_[p];
     const std::vector<VertexId>& vertices =
         partitioning_.VerticesOfPartition(p);
-    // Aggregator contributions fold lock-free here and merge into the
-    // worker's accumulator once, after the partition's vertices ran.
-    LocalAggregates aggregates;
+    // Aggregator contributions and statistics tally lock-free in `run`
+    // and fold into the worker and the registry once, after the
+    // partition's vertices ran.
+    PartitionRun run;
     // Remote sends stage lock-free into a partition-scoped buffer and
     // reach the shared out-buffer in one locked drain per destination
     // worker. Every fork release below is preceded by a drain, so a
     // concurrent fork handover's flush (condition C1) always finds this
     // partition's records already buffered.
-    SendStaging* staging = send_staging_ ? AcquireStaging(worker) : nullptr;
+    if (send_staging_) run.staging = AcquireStaging(worker);
     ProcessPartitionVertices(worker, program, p, superstep, ps, vertices,
-                             aggregates, staging);
-    if (staging != nullptr) {
-      DrainStaging(worker, *staging);
-      ReleaseStaging(worker, staging);
+                             run);
+    if (run.staging != nullptr) {
+      DrainStaging(worker, *run.staging);
+      ReleaseStaging(worker, run.staging);
     }
-    worker.aggregates.MergeFrom(aggregates);
+    FoldRun(worker, run);
   }
 
   void ProcessPartitionVertices(WorkerState& worker, const Program& program,
                                 PartitionId p, int superstep,
                                 PartitionStore& ps,
                                 const std::vector<VertexId>& vertices,
-                                LocalAggregates& aggregates,
-                                SendStaging* staging) {
+                                PartitionRun& run) {
+    SendStaging* staging = run.staging;
     // Sparse supersteps iterate the set bits of active|pending instead of
     // probing every vertex (tentpole: bitmap frontiers). The probe a set
     // bit triggers is the same probe the full scan would have made, so
@@ -1099,7 +1144,8 @@ class Engine {
     // injection keeps the legacy full scan: the supervisor expects a
     // Beat per probe and the abort checks want per-vertex granularity.
     switch (granularity_) {
-      case SyncTechnique::Granularity::kNone:
+      case SyncTechnique::Granularity::kNone: {
+        PartitionGrant granted(concurrency_);
         if (fault_active_ || gather_bcast_) {
           // Gather supersteps must probe every vertex: a halted vertex
           // with a broadcasting in-neighbor is eligible, but the
@@ -1108,25 +1154,24 @@ class Engine {
           // a full scan is the right shape anyway.)
           for (VertexId v : vertices) {
             if (fault_active_ && AttemptAborted(worker)) return;
-            ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                    aggregates, staging);
+            ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
           }
         } else {
           ps.active_bits.ForEachSetBitUnion(
               ps.store.pending_bits(), [&](size_t li) {
                 ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                        superstep, aggregates, staging);
+                                        superstep, run);
               });
         }
         break;
+      }
       case SyncTechnique::Granularity::kVertexGate:
         for (VertexId v : vertices) {
           if (fault_active_ && AttemptAborted(worker)) return;
           if (!technique_->MayExecuteVertex(worker.id, superstep, v)) {
             continue;  // stays pending until its token arrives
           }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, staging);
+          ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
         }
         break;
       case SyncTechnique::Granularity::kPartitionLock: {
@@ -1146,17 +1191,19 @@ class Engine {
           RecordForkWait(worker, Tracer::NowMicros() - t0);
           if (!acquired) return;  // watchdog abort: lock NOT held
         }
-        if (fault_active_) {
-          for (VertexId v : vertices) {
-            ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                    aggregates, staging);
+        {
+          PartitionGrant granted(concurrency_);
+          if (fault_active_) {
+            for (VertexId v : vertices) {
+              ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
+            }
+          } else {
+            ps.active_bits.ForEachSetBitUnion(
+                ps.store.pending_bits(), [&](size_t li) {
+                  ExecuteVertexIfEligible(worker, ps, program, vertices[li],
+                                          superstep, run);
+                });
           }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(), [&](size_t li) {
-                ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                        superstep, aggregates, staging);
-              });
         }
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
@@ -1188,8 +1235,7 @@ class Engine {
               return;
             }
           }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, staging);
+          ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
           // C1, per vertex: drain before this vertex's forks release.
           if (staging != nullptr) DrainStaging(worker, *staging);
           technique_->ReleaseVertex(worker.id, v);
@@ -1553,19 +1599,20 @@ class Engine {
         if (VertexEligible(ps, v)) pending.push_back(v);
       }
     }
-    LocalAggregates aggregates;
+    // No staging here (run.staging stays null): sub-superstep freshness
+    // needs each send in the shared out-buffer before the sub-barrier
+    // flush. Aggregates are only read at the outer superstep barrier, so
+    // one fold for the whole logical superstep suffices.
+    PartitionRun run;
     int idle_rounds = 0;
     for (;;) {
-      if (fault_active_ && AttemptAborted(worker)) return;
+      if (fault_active_ && AttemptAborted(worker)) break;
       int64_t executed = 0;
       std::vector<VertexId> still_pending;
       for (VertexId v : pending) {
         if (technique_->VertexReady(worker.id, v)) {
           PartitionStore& ps = *stores_[partitioning_.PartitionOf(v)];
-          // No staging here: sub-superstep freshness needs each send in
-          // the shared out-buffer before the sub-barrier flush.
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, /*staging=*/nullptr);
+          ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
           technique_->OnVertexExecuted(worker.id, v);
           ++executed;
         } else {
@@ -1606,7 +1653,7 @@ class Engine {
       AwaitBarrier(worker);
       // A broken barrier (failure detected) means the serial section may
       // never have run: leave via the abort flag, not via sub_stop_.
-      if (fault_active_ && AttemptAborted(worker)) return;
+      if (fault_active_ && AttemptAborted(worker)) break;
       if (sub_stop_) break;
       if (!sub_executed_any_) {
         // No vertex anywhere was ready: fork traffic is still in flight
@@ -1620,9 +1667,7 @@ class Engine {
         idle_rounds = 0;
       }
     }
-    // Aggregates are only read at the outer superstep barrier, so one
-    // merge for the whole logical superstep suffices.
-    worker.aggregates.MergeFrom(aggregates);
+    FoldRun(worker, run);
   }
 
   /// Publishes BSP arrivals for this worker's partitions (the

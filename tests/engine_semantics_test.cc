@@ -204,6 +204,130 @@ TEST(EngineConfigTest, WorkerAndThreadSweeps) {
   }
 }
 
+/// Tallies its own executions and sends in its value: a ground truth for
+/// the engine's statistics that no engine-side fold touches.
+struct SelfCounting {
+  struct VertexValue {
+    int64_t executions = 0;
+    int64_t sent = 0;
+    int64_t sent_local = 0;  // to a vertex on the sender's worker
+  };
+  using Message = int64_t;  // combinable and flat: pull-capable
+
+  static Message Combine(const Message& a, const Message& b) { return a + b; }
+
+  const Partitioning* partitioning = nullptr;
+
+  VertexValue InitialValue(VertexId, const Graph&) const { return {}; }
+
+  template <typename Ctx>
+  void Compute(Ctx& ctx, std::span<const Message>) const {
+    VertexValue value = ctx.value();
+    ++value.executions;
+    if (ctx.superstep() < 6) {
+      ctx.SendToAllOutNeighbors(1);
+      value.sent += ctx.num_out_edges();
+      for (VertexId u : ctx.out_neighbors()) {
+        if (partitioning->WorkerOf(u) == partitioning->WorkerOf(ctx.id())) {
+          ++value.sent_local;
+        }
+      }
+    }
+    ctx.set_value(value);
+    ctx.VoteToHalt();
+  }
+};
+
+TEST(EngineStatsTest, CountersAgreeWithTimelineAndGaugeKeepsItsMeaning) {
+  // A random graph plus a rung from every vertex to its mirror in the
+  // other half: under contiguous partitioning over two workers no vertex
+  // is m-internal, so single-layer token passing lets only the token
+  // holder execute.
+  constexpr VertexId kVertices = 256;
+  EdgeList el = ErdosRenyi(kVertices, 1024, /*seed=*/5);
+  for (VertexId v = 0; v < kVertices / 2; ++v) {
+    el.edges.push_back({v, v + kVertices / 2});
+  }
+  Graph g = Make(el).Undirected();
+  constexpr int kWorkers = 2;
+  constexpr int kThreads = 2;
+  constexpr int kPartitionsPerWorker = 2;
+  const Partitioning partitioning =
+      Partitioning::Contiguous(kVertices, kWorkers, kPartitionsPerWorker);
+
+  struct Case {
+    const char* name;
+    ComputationModel model;
+    SyncMode sync;
+    PushPullMode push_pull;
+    /// Every send goes through the message path, none is a captured
+    /// broadcast, so local_sends is exact.
+    bool push_only;
+  };
+  const Case cases[] = {
+      {"bsp-push", ComputationModel::kBsp, SyncMode::kNone,
+       PushPullMode::kForcePush, true},
+      {"bsp-pull", ComputationModel::kBsp, SyncMode::kNone,
+       PushPullMode::kForcePull, false},
+      {"bsp-auto", ComputationModel::kBsp, SyncMode::kNone,
+       PushPullMode::kAuto, false},
+      {"ap", ComputationModel::kAsync, SyncMode::kNone, PushPullMode::kAuto,
+       true},
+      {"partition-locking", ComputationModel::kAsync,
+       SyncMode::kPartitionLocking, PushPullMode::kAuto, true},
+      {"vertex-locking", ComputationModel::kAsync, SyncMode::kVertexLocking,
+       PushPullMode::kAuto, true},
+      {"single-layer-token", ComputationModel::kAsync,
+       SyncMode::kSingleLayerToken, PushPullMode::kAuto, true},
+      {"dual-layer-token", ComputationModel::kAsync,
+       SyncMode::kDualLayerToken, PushPullMode::kAuto, true},
+      {"constrained-bsp", ComputationModel::kBsp,
+       SyncMode::kConstrainedBspLocking, PushPullMode::kAuto, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EngineOptions opts;
+    opts.model = c.model;
+    opts.sync_mode = c.sync;
+    opts.push_pull = c.push_pull;
+    opts.num_workers = kWorkers;
+    opts.partitions_per_worker = kPartitionsPerWorker;
+    opts.compute_threads_per_worker = kThreads;
+    opts.max_supersteps = 200;
+    Engine<SelfCounting> engine(&g, opts);
+    ASSERT_TRUE(engine.UsePartitioning(partitioning).ok());
+    auto result = engine.Run(SelfCounting{&partitioning});
+    ASSERT_TRUE(result.ok()) << result.status();
+    const RunStats& stats = result->stats;
+    EXPECT_TRUE(stats.converged);
+
+    int64_t executions = 0, sent = 0, sent_local = 0;
+    for (const SelfCounting::VertexValue& value : result->values) {
+      executions += value.executions;
+      sent += value.sent;
+      sent_local += value.sent_local;
+    }
+    EXPECT_GT(executions, 0);
+    EXPECT_EQ(stats.Metric("pregel.vertex_executions"), executions);
+    EXPECT_EQ(Total(stats.timeline, &SuperstepSample::vertices_executed),
+              executions);
+    EXPECT_EQ(stats.Metric("pregel.messages_sent"), sent);
+    EXPECT_EQ(Total(stats.timeline, &SuperstepSample::messages_sent), sent);
+    EXPECT_LE(stats.Metric("pregel.local_sends"), sent);
+    if (c.push_only) {
+      EXPECT_EQ(stats.Metric("pregel.local_sends"), sent_local);
+    }
+
+    const int64_t peak = stats.Metric("pregel.max_concurrent_executions");
+    if (c.sync == SyncMode::kSingleLayerToken) {
+      EXPECT_EQ(peak, 1);
+    } else {
+      EXPECT_GE(peak, 1);
+      EXPECT_LE(peak, kWorkers * kThreads);
+    }
+  }
+}
+
 TEST(EngineConfigTest, RunTwiceIsAnError) {
   Graph g = Make(Ring(4));
   EngineOptions opts;

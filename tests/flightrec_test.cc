@@ -183,6 +183,32 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotIsRaceFree) {
   EXPECT_GT(FlightRecorder::Get().event_count(), 0);
 }
 
+// Engines start fresh worker, comm and pool threads for every run, so
+// a ring per thread ever created grows without bound in a long-lived
+// process. An exiting thread's ring must go to the next new thread.
+TEST(FlightRecorderTest, ExitedThreadsHandTheirRingsOn) {
+  TelemetryReset reset;
+  FlightRecorder::RecordInstant("fr.reuse.main");
+  const size_t rings_before = FlightRecorder::Get().ring_count();
+  constexpr int kThreads = 64;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([] { FlightRecorder::RecordInstant("fr.reuse.thread"); })
+        .join();
+  }
+  // The first thread may find no free ring; every later one takes the
+  // ring its joined predecessor released.
+  EXPECT_LE(FlightRecorder::Get().ring_count(), rings_before + 1);
+  // Reuse drops old events from the snapshot, not from the total.
+  EXPECT_GE(FlightRecorder::Get().event_count(), kThreads + 1);
+  // The last thread's ring is free but not yet reused: its tail is
+  // still there for an incident bundle.
+  bool saw_exited_thread = false;
+  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
+    if (std::string(e.name) == "fr.reuse.thread") saw_exited_thread = true;
+  }
+  EXPECT_TRUE(saw_exited_thread);
+}
+
 // --- span macros feed the recorder with the tracer off -------------------
 
 TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
