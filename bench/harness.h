@@ -13,8 +13,8 @@
 // loudly instead of producing a meaningless "regression".
 //
 // Schema history:
-//   1  raw Google Benchmark --benchmark_out dumps (results/pr0, BENCH_pr4
-//      references in older docs) — heterogeneous, no fingerprint.
+//   1  raw Google Benchmark --benchmark_out dumps (BENCH_pr4 references
+//      in older docs) — heterogeneous, no fingerprint; none are kept.
 //   2  this format: {schema_version, environment, cells[]} with one cell
 //      per (bench, config) pair and normalized units.
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -199,6 +200,15 @@ class Engine {
     }
   };
 
+  /// What the history recorder needs to know about one message: the
+  /// in-edge index of (src -> dst) and the version the sender wrote
+  /// (verify/history.h). Travels with the record — through staging,
+  /// partition bins and the wire — only while a recorder is attached.
+  struct Provenance {
+    int64_t in_edge = 0;
+    uint64_t version = 0;
+  };
+
   // ------------------------------------------------------------------
   // Per-partition message state. The sharded MessageStore holds the
   // messages themselves: under BSP, arrivals are invisible until the
@@ -214,12 +224,11 @@ class Engine {
     /// during single-threaded restore; other threads read it lock-free
     /// for eligibility (word-packed: see common/bitmap.h).
     Bitmap active_bits;
-    /// Deferred recorder notifications for BSP (delivery becomes visible
-    /// only at the swap): (src, dst, version). History recording is a
-    /// test/audit feature, so this sits outside the message hot path.
+    /// Recorder deliveries waiting for the BSP swap (a message becomes
+    /// visible only then). Appended once per applied batch or flushed
+    /// bin, not per message; empty unless a history recorder is attached.
     sy::Mutex notify_mu;
-    std::vector<std::tuple<VertexId, VertexId, uint64_t>> pending_notify
-        SY_GUARDED_BY(notify_mu);
+    std::vector<Provenance> pending_notify SY_GUARDED_BY(notify_mu);
   };
 
   // ------------------------------------------------------------------
@@ -252,6 +261,8 @@ class Engine {
   struct SendStaging {
     struct Bucket {
       std::vector<std::pair<VertexId, Message>> records;
+      /// records[i]'s provenance; filled only under a history recorder.
+      std::vector<Provenance> provenance;
       int64_t bytes = 0;
     };
     std::vector<Bucket> per_dst;       // indexed by destination worker
@@ -266,6 +277,8 @@ class Engine {
     /// — Section 4.1 needs local replica updates visible immediately.
     struct LocalBin {
       std::vector<std::pair<int32_t, Message>> records;  // (li, payload)
+      /// records[i]'s provenance; filled only under a history recorder.
+      std::vector<Provenance> provenance;
     };
     std::vector<LocalBin> per_part;    // indexed by destination partition
     std::vector<PartitionId> parts_touched;
@@ -342,6 +355,8 @@ class Engine {
     /// grouped by destination partition so each store shard is locked
     /// once per batch instead of once per message.
     std::vector<std::vector<std::pair<int32_t, Message>>> batch_buckets;
+    /// batch_buckets[p][i]'s provenance; filled only under a recorder.
+    std::vector<std::vector<Provenance>> batch_provenance;
     std::vector<PartitionId> batch_touched;
 
     /// Reusable send-staging buffers; ProcessPartition checks one out
@@ -404,9 +419,11 @@ class Engine {
     /// Sends `message` to vertex `target` (must be an out-neighbor for
     /// the serializability guarantees to apply; see paper Section 3.1).
     void SendTo(VertexId target, const Message& message) {
-      ++sent_count_;
-      engine_->SendMessage(*worker_, *run_, vertex_, target, message,
-                           version_);
+      int64_t in_edge = 0;
+      if (engine_->recorder_ != nullptr) {
+        in_edge = engine_->recorder_->InEdgeIndex(vertex_, target);
+      }
+      SendOverEdge(target, in_edge, message);
     }
 
     void SendToAllOutNeighbors(const Message& message) {
@@ -423,7 +440,17 @@ class Engine {
           return;
         }
       }
-      for (VertexId target : out_neighbors()) SendTo(target, message);
+      const std::span<const VertexId> targets = out_neighbors();
+      if (engine_->recorder_ != nullptr) {
+        // Provenance by out-edge position: no search per message.
+        const std::span<const int64_t> in_edges =
+            engine_->recorder_->ProvenanceOfOutEdges(vertex_);
+        for (size_t i = 0; i < targets.size(); ++i) {
+          SendOverEdge(targets[i], in_edges[i], message);
+        }
+        return;
+      }
+      for (VertexId target : targets) SendOverEdge(target, 0, message);
     }
 
     /// Aggregators (Pregel-style): contributions made during superstep s
@@ -453,6 +480,13 @@ class Engine {
     int64_t sent_count() const { return sent_count_; }
 
    private:
+    void SendOverEdge(VertexId target, int64_t in_edge,
+                      const Message& message) {
+      ++sent_count_;
+      engine_->SendMessage(*worker_, *run_, target, message,
+                           Provenance{in_edge, version_});
+    }
+
     Engine* engine_;
     WorkerState* worker_;
     VertexId vertex_;
@@ -527,16 +561,33 @@ class Engine {
 
   // --- messaging ----------------------------------------------------
 
-  static void EncodeRecord(BufferWriter& writer, VertexId src, VertexId dst,
-                           uint64_t version, const Message& message) {
+  /// Wire record: destination vertex, provenance (in-edge index and
+  /// version, both 0 when no recorder is attached), payload.
+  static void EncodeRecord(BufferWriter& writer, VertexId dst,
+                           const Provenance& provenance,
+                           const Message& message) {
     writer.WriteVarint(static_cast<uint64_t>(dst));
-    writer.WriteVarint(static_cast<uint64_t>(src));
-    writer.WriteVarint(version);
+    writer.WriteVarint(static_cast<uint64_t>(provenance.in_edge));
+    writer.WriteVarint(provenance.version);
     MessageCodec<Message>::Encode(writer, message);
   }
 
-  void DeliverLocal(VertexId src, VertexId dst, const Message& message,
-                    uint64_t version) {
+  /// Hands the recorder the deliveries of records just appended to `ps`:
+  /// visible now under AP, at the next swap under BSP (SwapStore).
+  void RecordDeliveries(PartitionStore& ps,
+                        std::span<const Provenance> deliveries) {
+    if (options_.model == ComputationModel::kBsp) {
+      sy::MutexLock lock(&ps.notify_mu);
+      std::ranges::copy(deliveries, std::back_inserter(ps.pending_notify));
+      return;
+    }
+    for (const Provenance& d : deliveries) {
+      recorder_->OnDeliver(d.in_edge, d.version);
+    }
+  }
+
+  void DeliverLocal(VertexId dst, const Message& message,
+                    const Provenance& provenance) {
     PartitionStore& ps = *stores_[partitioning_.PartitionOf(dst)];
     // Sampled append-cost probe: timing every append would make the
     // histogram itself the hot path.
@@ -551,14 +602,7 @@ class Engine {
     } else {
       ps.store.Append(local_index_[dst], message);
     }
-    if (recorder_ != nullptr) {
-      if (options_.model == ComputationModel::kBsp) {
-        sy::MutexLock lock(&ps.notify_mu);
-        ps.pending_notify.emplace_back(src, dst, version);
-      } else {
-        recorder_->OnDeliver(src, dst, version);
-      }
-    }
+    if (recorder_ != nullptr) RecordDeliveries(ps, {&provenance, 1});
   }
 
   // --- push/pull switch (docs/PERF.md) --------------------------------
@@ -620,8 +664,11 @@ class Engine {
     }
   }
 
-  void SendMessage(WorkerState& worker, PartitionRun& run, VertexId src,
-                   VertexId dst, const Message& message, uint64_t version) {
+  /// Routes one message. `provenance` is what a history recorder needs
+  /// (zeros without one); it travels with the record on every path below
+  /// except sender combining, which no recorder run takes (see Run()).
+  void SendMessage(WorkerState& worker, PartitionRun& run, VertexId dst,
+                   const Message& message, const Provenance& provenance) {
     SendStaging* staging = run.staging;
     const WorkerId dst_worker = partitioning_.WorkerOf(dst);
     if (dst_worker == worker.id) {
@@ -637,6 +684,7 @@ class Engine {
         typename SendStaging::LocalBin& bin = staging->per_part[p];
         if (bin.records.empty()) staging->parts_touched.push_back(p);
         bin.records.emplace_back(local_index_[dst], message);
+        if (recorder_ != nullptr) bin.provenance.push_back(provenance);
         if (bin.records.size() >= kLocalBinFlushRecords) {
           FlushLocalBin(p, bin);
         }
@@ -644,14 +692,12 @@ class Engine {
       }
       // Local replica update: eager under AP (Section 4.1), hidden until
       // the next superstep under BSP (handled inside DeliverLocal).
-      DeliverLocal(src, dst, message, version);
+      DeliverLocal(dst, message, provenance);
       return;
     }
     if (staging != nullptr) {
       // Lock-free staging: the record joins the partition-scoped batch
       // and reaches the out-buffer in one locked drain per destination.
-      // Staged records carry no (src, version) — staging is off whenever
-      // a history recorder is attached, and nothing else reads them.
       typename SendStaging::Bucket& bucket = staging->per_dst[dst_worker];
       if (bucket.records.empty()) {
         staging->touched.push_back(dst_worker);
@@ -659,6 +705,7 @@ class Engine {
         worker.touched[dst_worker].store(1, std::memory_order_relaxed);
       }
       bucket.records.emplace_back(dst, message);
+      if (recorder_ != nullptr) bucket.provenance.push_back(provenance);
       bucket.bytes += kCombinedRecordBytes;
       if (bucket.bytes >= options_.message_batch_bytes) {
         DrainStagingTo(worker, *staging, dst_worker);
@@ -688,7 +735,7 @@ class Engine {
       }
     }
     sy::MutexLock lock(&out.mu);
-    EncodeRecord(out.writer, src, dst, version, message);
+    EncodeRecord(out.writer, dst, provenance, message);
     if (static_cast<int64_t>(out.writer.size()) >=
         options_.message_batch_bytes) {
       FlushBufferLocked(worker, dst_worker, out);
@@ -733,9 +780,9 @@ class Engine {
       BufferWriter writer;
       writer.Adopt(std::move(payload));
       for (const auto& [dst_vertex, message] : staging) {
-        // Combined records carry no meaningful (src, version); history
-        // recording disables sender combining, so nothing reads them.
-        EncodeRecord(writer, /*src=*/0, dst_vertex, /*version=*/0, message);
+        // A combined record folds several sends, so it has no single
+        // provenance; history recording disables sender combining.
+        EncodeRecord(writer, dst_vertex, Provenance{}, message);
       }
       payload = writer.Release();
     }
@@ -779,12 +826,14 @@ class Engine {
         return;
       }
     }
-    for (const auto& [dst, message] : bucket.records) {
-      // Staged records carry no (src, version) — staging is disabled
-      // whenever a history recorder is attached (see Run()).
-      EncodeRecord(out.writer, /*src=*/0, dst, /*version=*/0, message);
+    const bool recorded = !bucket.provenance.empty();
+    for (size_t i = 0; i < bucket.records.size(); ++i) {
+      const auto& [dst, message] = bucket.records[i];
+      EncodeRecord(out.writer, dst,
+                   recorded ? bucket.provenance[i] : Provenance{}, message);
     }
     bucket.records.clear();
+    bucket.provenance.clear();
     bucket.bytes = 0;
     if (static_cast<int64_t>(out.writer.size()) >=
         options_.message_batch_bytes) {
@@ -793,10 +842,16 @@ class Engine {
   }
 
   /// Empties one partition bin into its destination store (one batched
-  /// append under that store's shard locks).
+  /// append under that store's shard locks, and under a recorder one
+  /// locked append of the bin's deliveries).
   void FlushLocalBin(PartitionId p, typename SendStaging::LocalBin& bin) {
-    stores_[p]->store.AppendBatch(std::span(bin.records));
+    PartitionStore& ps = *stores_[p];
+    ps.store.AppendBatch(std::span(bin.records));
     bin.records.clear();
+    if (!bin.provenance.empty()) {
+      RecordDeliveries(ps, bin.provenance);
+      bin.provenance.clear();
+    }
     bin_flushes_->Increment();
   }
 
@@ -837,46 +892,27 @@ class Engine {
 
   void ApplyDataBatch(WorkerState& worker, const WireMessage& wire) {
     BufferReader reader(wire.payload);
-    if (recorder_ != nullptr) {
-      // Audit path: deliver per message so (src, version) ordering
-      // reaches the recorder exactly as before.
-      const bool bsp = options_.model == ComputationModel::kBsp;
-      while (!reader.AtEnd()) {
-        uint64_t dst_raw, src_raw, version;
-        Message message;
-        SG_CHECK(reader.ReadVarint(&dst_raw));
-        SG_CHECK(reader.ReadVarint(&src_raw));
-        SG_CHECK(reader.ReadVarint(&version));
-        SG_CHECK(MessageCodec<Message>::Decode(reader, &message));
-        const VertexId dst = static_cast<VertexId>(dst_raw);
-        const VertexId src = static_cast<VertexId>(src_raw);
-        PartitionStore& ps = *stores_[partitioning_.PartitionOf(dst)];
-        ps.store.Append(local_index_[dst], message);
-        if (bsp) {
-          sy::MutexLock lock(&ps.notify_mu);
-          ps.pending_notify.emplace_back(src, dst, version);
-        } else {
-          recorder_->OnDeliver(src, dst, version);
-        }
-      }
-      return;
-    }
-    // Hot path: decode into per-partition buckets first, then apply each
-    // bucket with one lock acquisition per store shard touched.
+    // Decode into per-partition buckets first, then apply each bucket
+    // with one lock acquisition per store shard touched.
     auto& buckets = worker.batch_buckets;
+    auto& provenance = worker.batch_provenance;
     auto& touched = worker.batch_touched;
+    const bool recording = recorder_ != nullptr;
     int64_t decoded = 0;
     while (!reader.AtEnd()) {
-      uint64_t dst_raw, src_raw, version;
+      uint64_t dst_raw = 0, in_edge = 0, version = 0;
       Message message;
       SG_CHECK(reader.ReadVarint(&dst_raw));
-      SG_CHECK(reader.ReadVarint(&src_raw));
+      SG_CHECK(reader.ReadVarint(&in_edge));
       SG_CHECK(reader.ReadVarint(&version));
       SG_CHECK(MessageCodec<Message>::Decode(reader, &message));
       const VertexId dst = static_cast<VertexId>(dst_raw);
       const PartitionId p = partitioning_.PartitionOf(dst);
       if (buckets[p].empty()) touched.push_back(p);
       buckets[p].emplace_back(local_index_[dst], std::move(message));
+      if (recording) {
+        provenance[p].push_back({static_cast<int64_t>(in_edge), version});
+      }
       ++decoded;
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -884,13 +920,21 @@ class Engine {
       stores_[p]->store.AppendBatch(std::span(buckets[p]));
       buckets[p].clear();
     }
-    touched.clear();
     if (decoded > 0) {
       const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
       store_append_hist_->Record(ns / decoded);
     }
+    // The deliveries reach the recorder before this batch returns, so
+    // before any fork or marker that followed it on the channel is seen.
+    if (recording) {
+      for (PartitionId p : touched) {
+        RecordDeliveries(*stores_[p], provenance[p]);
+        provenance[p].clear();
+      }
+    }
+    touched.clear();
   }
 
   // --- communication thread ------------------------------------------
@@ -1207,7 +1251,9 @@ class Engine {
         }
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
-        if (staging != nullptr) DrainStaging(worker, *staging);
+        if (staging != nullptr && !SkipStagingDrain()) {
+          DrainStaging(worker, *staging);
+        }
         technique_->ReleasePartition(worker.id, p);
         break;
       }
@@ -1237,7 +1283,9 @@ class Engine {
           }
           ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
           // C1, per vertex: drain before this vertex's forks release.
-          if (staging != nullptr) DrainStaging(worker, *staging);
+          if (staging != nullptr && !SkipStagingDrain()) {
+            DrainStaging(worker, *staging);
+          }
           technique_->ReleaseVertex(worker.id, v);
         };
         if (fault_active_) {
@@ -1253,6 +1301,14 @@ class Engine {
         break;
       }
     }
+  }
+
+  /// Negative control (serichk): release forks with this run's staged
+  /// remote sends still staged. A neighbor's handover flush then misses
+  /// them and it executes on a stale replica, a C1 violation; the final
+  /// drain in ProcessPartition delivers them too late.
+  static bool SkipStagingDrain() {
+    return SG_PLANTED_BUG("engine.skip_staging_drain");
   }
 
   void RunPartitions(WorkerState& worker, const Program& program,
@@ -1296,13 +1352,13 @@ class Engine {
     ps.store.Swap();
     store_swap_hist_->Record(Tracer::NowMicros() - t0);
     if (recorder_ == nullptr) return;
-    std::vector<std::tuple<VertexId, VertexId, uint64_t>> drained;
+    std::vector<Provenance> drained;
     {
       sy::MutexLock lock(&ps.notify_mu);
       drained.swap(ps.pending_notify);
     }
-    for (const auto& [src, dst, version] : drained) {
-      recorder_->OnDeliver(src, dst, version);
+    for (const Provenance& d : drained) {
+      recorder_->OnDeliver(d.in_edge, d.version);
     }
   }
 
@@ -1880,13 +1936,13 @@ class Engine {
   bool has_partitioning_ = false;
   bool ran_ = false;
   /// Sender-side combining is active (combiner present, enabled by the
-  /// options, and no history recorder — combined records have no
-  /// per-message (src, version) for it). Fixed before workers start.
+  /// options, and no history recorder — a combined record folds several
+  /// sends, so it has no single provenance). Fixed before workers start.
   bool sender_combining_ = false;
   /// Partition-scoped lock-free send staging is active (trivially
-  /// copyable message payload, no history recorder, >1 worker). Staged
-  /// records encode with (src, version) = 0, same as combined records.
-  /// Fixed before workers start.
+  /// copyable message payload, >1 worker). Under a history recorder the
+  /// staged records carry their provenance (SendStaging). Fixed before
+  /// workers start.
   bool send_staging_ = false;
   /// Same-worker BSP sends go through per-destination-partition bins
   /// (GPOP-style scatter) instead of eager appends. Fixed before
@@ -2114,18 +2170,23 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   if (options_.record_history) {
     recorder_ = std::make_shared<HistoryRecorder>(graph_, num_workers);
   }
+  // Staging and BSP partition bins run with or without a recorder: a
+  // staged or binned record carries its own (in-edge, version). Sender
+  // combining and the pull switch stay off under a recorder, because a
+  // folded or pulled message stands for several sends and so has no
+  // single (in-edge, version) to record.
   sender_combining_ =
       kHasCombiner && options_.sender_combining && recorder_ == nullptr;
-  send_staging_ = std::is_trivially_copyable_v<Message> &&
-                  recorder_ == nullptr && num_workers > 1;
+  send_staging_ = std::is_trivially_copyable_v<Message> && num_workers > 1;
   bsp_local_bins_ =
       send_staging_ && options_.model == ComputationModel::kBsp;
   // Push/pull switch (docs/PERF.md): BSP only (a captured broadcast is
   // invisible until the next superstep, which is exactly BSP's contract
   // and exactly what AP must NOT do — Section 4.1 freshness), plain runs
-  // only (sync techniques keep their fork-handover read protocol; the
-  // recorder needs per-message provenance; checkpoints and fault
-  // recovery would lose in-flight captured broadcasts).
+  // only (sync techniques keep their fork-handover read protocol; a
+  // pulled broadcast has no per-message provenance for the recorder;
+  // checkpoints and fault recovery would lose in-flight captured
+  // broadcasts).
   pull_enabled_ = kPullCapable &&
                   options_.model == ComputationModel::kBsp &&
                   options_.sync_mode == SyncMode::kNone &&
@@ -2376,6 +2437,9 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
       worker->id = w;
       worker->touched = std::vector<std::atomic<uint8_t>>(num_workers);
       worker->batch_buckets.resize(partitioning_.num_partitions());
+      if (recorder_ != nullptr) {
+        worker->batch_provenance.resize(partitioning_.num_partitions());
+      }
       for (int d = 0; d < num_workers; ++d) {
         worker->out.push_back(std::make_unique<OutBuffer>());
       }
