@@ -398,10 +398,12 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   BUILD_DIR="${1:-build-bench-smoke}"
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target micro_message_store micro_transport micro_chandy_misra
+    --target micro_message_store micro_transport micro_chandy_misra \
+    micro_graph
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"' EXIT
-  for bench in micro_message_store micro_transport micro_chandy_misra; do
+  for bench in micro_message_store micro_transport micro_chandy_misra \
+      micro_graph; do
     out="$SMOKE_DIR/$bench.json"
     "$BUILD_DIR/bench/$bench" --benchmark_min_time=0.01 --json="$out"
     python3 -c "

@@ -1,11 +1,12 @@
 #include "graph/generators.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "graph/cdf_lookup.h"
 
 namespace serigraph {
 
@@ -46,12 +47,7 @@ EdgeList PowerLawChungLu(VertexId num_vertices, double avg_degree,
     acc += weights[v] / total;
     cdf[v] = acc;
   }
-  auto sample = [&]() -> VertexId {
-    double u = rng.NextDouble();
-    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    if (it == cdf.end()) --it;
-    return static_cast<VertexId>(it - cdf.begin());
-  };
+  const CdfLookup lookup(std::move(cdf));
 
   const int64_t target_edges =
       static_cast<int64_t>(avg_degree * static_cast<double>(num_vertices));
@@ -59,8 +55,8 @@ EdgeList PowerLawChungLu(VertexId num_vertices, double avg_degree,
   el.num_vertices = num_vertices;
   el.edges.reserve(target_edges);
   while (static_cast<int64_t>(el.edges.size()) < target_edges) {
-    VertexId src = sample();
-    VertexId dst = sample();
+    VertexId src = lookup.Find(rng.NextDouble());
+    VertexId dst = lookup.Find(rng.NextDouble());
     if (src == dst) continue;
     el.edges.push_back({src, dst});
   }

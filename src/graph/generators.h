@@ -7,9 +7,12 @@
 
 namespace serigraph {
 
-/// Deterministic synthetic graph generators. Every generator is a pure
-/// function of its parameters and `seed`, so experiments are exactly
-/// reproducible. Generators return directed edge lists; callers that need
+/// Deterministic synthetic graph generators. Every generator's output —
+/// the edge list, edge for edge and in order — is a pure function of its
+/// parameters and `seed`, so experiments are exactly reproducible, and an
+/// optimization of a generator must keep every output bit-identical
+/// (tests/graph_test.cc checks PowerLawChungLu against its binary-search
+/// original). Generators return directed edge lists; callers that need
 /// undirected graphs (e.g. coloring) use Graph::Undirected().
 
 /// G(n, m): `num_edges` directed edges sampled uniformly (no self loops;
@@ -21,6 +24,7 @@ EdgeList ErdosRenyi(VertexId num_vertices, int64_t num_edges, uint64_t seed);
 /// (v+1)^(-1/(gamma-1)) scaled so the mean degree is `avg_degree`. This is
 /// the stand-in family for the paper's social/web graphs (Table 1), all of
 /// which follow power-law degree distributions with very large max degree.
+/// Each endpoint costs O(1) expected time (CdfLookup's guide table).
 EdgeList PowerLawChungLu(VertexId num_vertices, double avg_degree,
                          double gamma, uint64_t seed);
 

@@ -123,6 +123,8 @@ BoundaryInfo::BoundaryInfo(const Graph& graph,
     const WorkerId wv = partitioning.WorkerOfPartition(pv);
     bool has_local = false;   // same worker, different partition
     bool has_remote = false;  // different worker
+    // Once both are seen the vertex is mixed-boundary whatever the rest
+    // of its lists holds, so the scan stops there.
     auto scan = [&](std::span<const VertexId> nbrs) {
       for (VertexId u : nbrs) {
         const PartitionId pu = partitioning.PartitionOf(u);
@@ -132,10 +134,11 @@ BoundaryInfo::BoundaryInfo(const Graph& graph,
         } else {
           has_remote = true;
         }
+        if (has_local && has_remote) return;
       }
     };
     scan(graph.OutNeighbors(v));
-    scan(graph.InNeighbors(v));
+    if (!(has_local && has_remote)) scan(graph.InNeighbors(v));
     VertexLocality loc;
     if (has_remote && has_local) {
       loc = VertexLocality::kMixedBoundary;

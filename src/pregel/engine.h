@@ -1974,6 +1974,7 @@ class Engine {
   /// barrier; drives the next superstep's mode and the timeline column.
   int64_t last_density_milli_ = 0;
 
+  /// Null unless the technique passes tokens (set once in Run()).
   std::unique_ptr<BoundaryInfo> boundaries_;
   std::unique_ptr<SyncTechnique> technique_;
   SyncTechnique::Granularity granularity_ = SyncTechnique::Granularity::kNone;
@@ -2133,7 +2134,12 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
 
   // --- run-wide setup, shared by every attempt (excluded from
   // --- computation time) ----------------------------------------------
-  boundaries_ = std::make_unique<BoundaryInfo>(*graph_, partitioning_);
+  // Token passing is the only reader of the boundary classes (an
+  // O(|E|) scan), so other techniques skip building them.
+  if (options_.sync_mode == SyncMode::kSingleLayerToken ||
+      options_.sync_mode == SyncMode::kDualLayerToken) {
+    boundaries_ = std::make_unique<BoundaryInfo>(*graph_, partitioning_);
+  }
 
   messages_sent_ = metrics_.GetCounter("pregel.messages_sent");
   local_sends_ = metrics_.GetCounter("pregel.local_sends");

@@ -80,6 +80,8 @@ class SyncTechnique {
   struct Context {
     const Graph* graph = nullptr;
     const Partitioning* partitioning = nullptr;
+    /// Set by the engine only for the token-passing techniques, which
+    /// are its only readers; null for the others.
     const BoundaryInfo* boundaries = nullptr;
     MetricRegistry* metrics = nullptr;
     /// When set (fault-injection runs), protocol-state inconsistencies

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "graph/generators.h"
 
 namespace serigraph {
@@ -192,6 +195,84 @@ TEST(PartitionGraphTest, DirectedEdgesProduceSymmetricAdjacency) {
   auto adj = BuildPartitionGraph(g, *p);
   EXPECT_EQ(adj[0], (std::vector<PartitionId>{1}));
   EXPECT_EQ(adj[1], (std::vector<PartitionId>{0}));
+}
+
+
+// The constructor as it was before it stopped scanning at the first
+// same-worker + remote pair, kept verbatim as the oracle: the early exit
+// must give every vertex the same class.
+std::vector<VertexLocality> OracleLocalities(const Graph& graph,
+                                             const Partitioning& partitioning) {
+  std::vector<VertexLocality> locality(graph.num_vertices());
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const PartitionId pv = partitioning.PartitionOf(v);
+    const WorkerId wv = partitioning.WorkerOfPartition(pv);
+    bool has_local = false;
+    bool has_remote = false;
+    auto scan = [&](std::span<const VertexId> nbrs) {
+      for (VertexId u : nbrs) {
+        const PartitionId pu = partitioning.PartitionOf(u);
+        if (pu == pv) continue;
+        if (partitioning.WorkerOfPartition(pu) == wv) {
+          has_local = true;
+        } else {
+          has_remote = true;
+        }
+      }
+    };
+    scan(graph.OutNeighbors(v));
+    scan(graph.InNeighbors(v));
+    VertexLocality loc;
+    if (has_remote && has_local) {
+      loc = VertexLocality::kMixedBoundary;
+    } else if (has_remote) {
+      loc = VertexLocality::kRemoteBoundary;
+    } else if (has_local) {
+      loc = VertexLocality::kLocalBoundary;
+    } else {
+      loc = VertexLocality::kPInternal;
+    }
+    locality[v] = loc;
+  }
+  return locality;
+}
+
+TEST(BoundaryInfoTest, EarlyExitMatchesFullScanOracle) {
+  int64_t seen[4] = {0, 0, 0, 0};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    // Sparse and power-law, directed and undirected; the sparse draws
+    // leave isolated vertices.
+    const Graph directed[] = {Make(ErdosRenyi(300, 150 * seed, seed)),
+                              Make(PowerLawChungLu(300, 4.0, 2.2, seed))};
+    for (const Graph& d : directed) {
+      const Graph undirected = d.Undirected();
+      for (const Graph* g : {&d, &undirected}) {
+        for (int workers = 1; workers <= 4; ++workers) {
+          for (int ppw = 1; ppw <= 3; ++ppw) {
+            const Partitioning p =
+                Partitioning::Hash(g->num_vertices(), workers, ppw, seed);
+            const BoundaryInfo info(*g, p);
+            const std::vector<VertexLocality> want = OracleLocalities(*g, p);
+            int64_t counts[4] = {0, 0, 0, 0};
+            for (VertexId v = 0; v < g->num_vertices(); ++v) {
+              ASSERT_EQ(info.LocalityOf(v), want[v])
+                  << "v" << v << " seed " << seed << " workers " << workers
+                  << " ppw " << ppw;
+              ++counts[static_cast<int>(want[v])];
+            }
+            for (int c = 0; c < 4; ++c) {
+              EXPECT_EQ(info.counts()[c], counts[c]);
+              seen[c] += counts[c];
+            }
+          }
+        }
+      }
+    }
+  }
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_GT(seen[c], 100)
+        << VertexLocalityName(static_cast<VertexLocality>(c));
+  }
 }
 
 }  // namespace
