@@ -24,8 +24,9 @@
 #
 # --chaos skips the sanitizer suite entirely: it builds serigraph_cli in
 # Release and drives seeded fault-injection runs end to end — a worker
-# crash mid-superstep under each synchronization technique must recover
-# to exit 0 with a fault section in the metrics JSON, the same crash
+# crash mid-superstep under each synchronization technique, and under
+# plain BSP with forced pull, must recover to exit 0 with a fault section
+# (and, for BSP, pull supersteps) in the metrics JSON, the same crash
 # without --recover must abort with exit 3, and a randomized plan under
 # --verify must still pass the serializability audit.
 #
@@ -100,11 +101,17 @@ if [[ "$CHAOS" == "1" ]]; then
   printf 'crash point=engine.pre_barrier worker=1 hit=3\n' > "$PLAN"
 
   # A worker crash mid-superstep under every technique must recover and
-  # exit 0, and the run report must carry the recovery digest.
-  for sync in single-token dual-token vertex-locking partition-locking; do
+  # exit 0, and the run report must carry the recovery digest. The plain
+  # BSP run forces pull: every superstep but the checkpoint cuts must
+  # pull, before and after the restore.
+  for sync in single-token dual-token vertex-locking partition-locking none; do
     METRICS="$CHAOS_DIR/metrics-$sync.json"
+    MODEL_FLAGS=()
+    if [[ "$sync" == none ]]; then
+      MODEL_FLAGS=(--model=bsp --push-pull=pull)
+    fi
     "$CLI" --algorithm=sssp --generator=erdos --vertices=300 --degree=4 \
-      --seed=2 --sync="$sync" --workers=3 \
+      --seed=2 --sync="$sync" "${MODEL_FLAGS[@]}" --workers=3 \
       --fault-plan="$PLAN" --checkpoint-every=2 \
       --checkpoint-dir="$CHAOS_DIR" --recover \
       --metrics-json="$METRICS"
@@ -118,9 +125,13 @@ if fault.get("recovery_attempts", 0) < 1:
     sys.exit(f"chaos smoke [{sys.argv[2]}]: no recovery attempt recorded")
 if report["metrics"].get("fault.events_fired", 0) < 1:
     sys.exit(f"chaos smoke [{sys.argv[2]}]: no fault event fired")
+pulled = report["metrics"].get("engine.pull_supersteps", 0)
+if sys.argv[2] == "none" and pulled < 1:
+    sys.exit(f"chaos smoke [{sys.argv[2]}]: forced pull ran no pull superstep")
 print(f"chaos smoke [{sys.argv[2]}]: recovered in "
       f"{fault['recovery_attempts']} attempt(s), "
-      f"{len(fault.get('events', []))} recovery events")
+      f"{len(fault.get('events', []))} recovery events, "
+      f"{pulled} pull supersteps")
 EOF
   done
 

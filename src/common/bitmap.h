@@ -205,29 +205,14 @@ class Bitmap {
   std::vector<Word> words_;
 };
 
-/// A frontier is the pair of bitmaps the engine consults for eligibility:
-/// `active` (vertex did not vote to halt) and `pending` (vertex has
-/// undelivered messages).  A vertex is eligible iff active|pending.
-/// Density accounting (set bits per thousand vertices) drives the
-/// per-superstep push/pull switch.
-struct Frontier {
-  Bitmap active;
-  Bitmap pending;
-
-  void Reset(size_t bits) {
-    active.Reset(bits);
-    pending.Reset(bits);
-  }
-
-  size_t EligibleCount() const { return active.PopcountUnion(pending); }
-
-  /// Set bits per 1000 of `total_bits` (caller supplies the global vertex
-  /// count so per-partition frontiers can report global density).
-  static int64_t DensityMilli(size_t set_bits, size_t total_bits) {
-    if (total_bits == 0) return 0;
-    return static_cast<int64_t>((set_bits * 1000) / total_bits);
-  }
-};
+/// Set bits per 1000 of `total_bits`. The engine's frontier is the
+/// union active|pending of each partition's bitmaps; it passes the
+/// global vertex count so per-partition popcounts report global density,
+/// which drives the per-superstep push/pull switch.
+inline int64_t DensityMilli(size_t set_bits, size_t total_bits) {
+  if (total_bits == 0) return 0;
+  return static_cast<int64_t>((set_bits * 1000) / total_bits);
+}
 
 }  // namespace serigraph
 

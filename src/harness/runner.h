@@ -31,7 +31,6 @@ struct RunConfig {
   bool perf_counters = false;
   /// Push/pull strategy for combinable BSP programs (docs/PERF.md).
   PushPullMode push_pull = PushPullMode::kAuto;
-  int64_t pull_density_threshold_milli = 400;
 };
 
 inline EngineOptions ToEngineOptions(const RunConfig& config) {
@@ -51,7 +50,6 @@ inline EngineOptions ToEngineOptions(const RunConfig& config) {
   opts.watchdog = config.watchdog;
   opts.perf_counters = config.perf_counters;
   opts.push_pull = config.push_pull;
-  opts.pull_density_threshold_milli = config.pull_density_threshold_milli;
   return opts;
 }
 

@@ -81,10 +81,17 @@ class Engine {
   /// push/pull switch (docs/PERF.md): broadcasts fold through the
   /// combiner, and the payload can live in a flat per-vertex array.
   /// Whether pull actually engages is a runtime decision (BSP, no sync
-  /// technique, no recorder, no checkpointing — see Run()).
+  /// technique, no recorder — see Run()); a superstep whose barrier
+  /// writes a checkpoint always pushes (DecidePull).
   static constexpr bool kPullCapable =
       kHasCombiner && std::is_trivially_copyable_v<Message> &&
       std::is_default_constructible_v<Message>;
+
+  /// Flat payloads stage every send (SendStaging): remote records reach
+  /// the out-buffers in one locked drain per destination, and BSP local
+  /// records go through partition bins. Other payloads (Triangles'
+  /// NeighborList) encode straight into the out-buffer.
+  static constexpr bool kStaged = std::is_trivially_copyable_v<Message>;
 
   struct Result {
     RunStats stats;
@@ -239,8 +246,8 @@ class Engine {
     sy::CondVar flushed_cv;
     BufferWriter writer SY_GUARDED_BY(mu);
     /// Sender-side combining map (used only when the program has a
-    /// combiner and combining is enabled): messages fold here keyed by
-    /// destination vertex and are encoded at flush time.
+    /// combiner and no recorder is attached): staged messages fold here
+    /// keyed by destination vertex and are encoded at flush time.
     CombiningMap<Message> combine SY_GUARDED_BY(mu);
     /// Estimated encoded size of `combine`'s entries (flush trigger).
     int64_t combine_bytes SY_GUARDED_BY(mu) = 0;
@@ -254,9 +261,10 @@ class Engine {
   /// append here with no lock at all, and the whole batch folds/encodes
   /// into the out-buffers under one lock per destination when it drains.
   /// Drains happen before the partition's (or vertex's) forks can be
-  /// released, so the write-all (C1) ordering is unchanged — staged
-  /// records are always on the shared buffer by the time any handover
-  /// flush could need them. Buffers are pooled per worker and keep their
+  /// released and before every constrained-BSP sub-barrier flush, so the
+  /// write-all (C1) ordering is unchanged — staged records are always on
+  /// the shared buffer by the time any handover or sub-barrier flush
+  /// could need them. Buffers are pooled per worker and keep their
   /// capacity (steady-state zero allocation).
   struct SendStaging {
     struct Bucket {
@@ -295,7 +303,7 @@ class Engine {
   /// the run ends.
   struct PartitionRun {
     LocalAggregates aggregates;
-    /// Remote-send staging; null when staging is off.
+    /// Send staging; null unless kStaged.
     SendStaging* staging = nullptr;
     /// Tallies behind pregel.vertex_executions / messages_sent /
     /// local_sends and the worker's timeline row. A shared cell written
@@ -626,9 +634,18 @@ class Engine {
     }
   }
 
-  bool DecidePull(int64_t density_milli) const {
+  /// Whether `superstep` captures its broadcasts. A superstep whose
+  /// barrier writes a checkpoint pushes, even under kForcePull: no frame
+  /// is then written while captured broadcasts are in flight, so the
+  /// frame format needs no broadcast buffers, and the superstep a
+  /// recovery resumes at never has anything to gather.
+  bool DecidePull(int superstep, int64_t density_milli) const {
+    if (options_.checkpoint_every > 0 &&
+        (superstep + 1) % options_.checkpoint_every == 0) {
+      return false;
+    }
     if (options_.push_pull == PushPullMode::kForcePull) return true;
-    return density_milli >= options_.pull_density_threshold_milli;
+    return density_milli >= kPullDensityThresholdMilli;
   }
 
   /// Barrier serial section: record this superstep's frontier density,
@@ -638,9 +655,8 @@ class Engine {
   /// included when this superstep captured).
   void AdvancePullEpoch(int superstep, int64_t total, bool stop) {
     last_density_milli_ = std::min<int64_t>(
-        1000, Frontier::DensityMilli(static_cast<size_t>(total),
-                                     static_cast<size_t>(
-                                         graph_->num_vertices())));
+        1000, DensityMilli(static_cast<size_t>(total),
+                           static_cast<size_t>(graph_->num_vertices())));
     frontier_density_gauge_->Observe(last_density_milli_);
     if (!pull_enabled_) return;
     const bool captured = capture_bcast_;
@@ -649,14 +665,13 @@ class Engine {
       bcast_bits_[bcast_cur_].ClearAll();
     }
     gather_bcast_ = captured;
-    capture_bcast_ = !stop && DecidePull(last_density_milli_);
+    capture_bcast_ = !stop && DecidePull(superstep + 1, last_density_milli_);
     if (capture_bcast_) pull_supersteps_->Increment();
     if (capture_bcast_ != captured) {
       SG_LOG(kDebug) << "push/pull switch: superstep " << superstep + 1
                      << " mode=" << (capture_bcast_ ? "pull" : "push")
                      << " (density " << last_density_milli_ << "/1000,"
-                     << " threshold "
-                     << options_.pull_density_threshold_milli << ")";
+                     << " threshold " << kPullDensityThresholdMilli << ")";
     } else {
       SG_LOG(kDebug) << "push/pull: superstep " << superstep + 1
                      << " stays " << (capture_bcast_ ? "pull" : "push")
@@ -712,28 +727,11 @@ class Engine {
       }
       return;
     }
+    // Unstaged payloads (!kStaged) encode under the out lock, uncombined,
+    // so the flush trigger sees the real encoded size.
     // mo: dirty hint; barrier orders the data
     worker.touched[dst_worker].store(1, std::memory_order_relaxed);
     OutBuffer& out = *worker.out[dst_worker];
-    if constexpr (kHasCombiner) {
-      if (sender_combining_) {
-        // Sender-side combining (Besta et al.'s push-side reduction):
-        // fold into the per-destination map under the out lock; the
-        // encoded record is produced only at flush time.
-        sy::MutexLock lock(&out.mu);
-        if (out.combine.Fold(dst, message,
-                             [](const Message& a, const Message& b) {
-                               return Program::Combine(a, b);
-                             })) {
-          out.combine_bytes += kCombinedRecordBytes;
-        }
-        if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
-            options_.message_batch_bytes) {
-          FlushBufferLocked(worker, dst_worker, out);
-        }
-        return;
-      }
-    }
     sy::MutexLock lock(&out.mu);
     EncodeRecord(out.writer, dst, provenance, message);
     if (static_cast<int64_t>(out.writer.size()) >=
@@ -901,7 +899,7 @@ class Engine {
     int64_t decoded = 0;
     while (!reader.AtEnd()) {
       uint64_t dst_raw = 0, in_edge = 0, version = 0;
-      Message message;
+      Message message{};
       SG_CHECK(reader.ReadVarint(&dst_raw));
       SG_CHECK(reader.ReadVarint(&in_edge));
       SG_CHECK(reader.ReadVarint(&version));
@@ -1160,12 +1158,12 @@ class Engine {
     // and fold into the worker and the registry once, after the
     // partition's vertices ran.
     PartitionRun run;
-    // Remote sends stage lock-free into a partition-scoped buffer and
-    // reach the shared out-buffer in one locked drain per destination
-    // worker. Every fork release below is preceded by a drain, so a
-    // concurrent fork handover's flush (condition C1) always finds this
-    // partition's records already buffered.
-    if (send_staging_) run.staging = AcquireStaging(worker);
+    // Sends stage lock-free into a partition-scoped buffer and reach the
+    // shared out-buffer in one locked drain per destination worker.
+    // Every fork release below is preceded by a drain, so a concurrent
+    // fork handover's flush (condition C1) always finds this partition's
+    // records already buffered.
+    if constexpr (kStaged) run.staging = AcquireStaging(worker);
     ProcessPartitionVertices(worker, program, p, superstep, ps, vertices,
                              run);
     if (run.staging != nullptr) {
@@ -1175,48 +1173,68 @@ class Engine {
     FoldRun(worker, run);
   }
 
+  /// Calls `body(v)` for each candidate vertex of partition `ps`: every
+  /// vertex when `full_scan`, otherwise the set bits of active|pending
+  /// (bitmap frontiers; the probe a set bit triggers is the one a full
+  /// scan would make). Stops at the first `body` that returns false, and
+  /// once the attempt is aborted — the one abort poll of a fault run's
+  /// vertex loop. Heartbeats come from ExecuteVertexIfEligible.
+  template <typename Body>
+  void WalkCandidates(const WorkerState& worker, const PartitionStore& ps,
+                      const std::vector<VertexId>& vertices, bool full_scan,
+                      Body&& body) {
+    const auto visit = [&](VertexId v) {
+      return !(fault_active_ && AttemptAborted(worker)) && body(v);
+    };
+    if (full_scan) {
+      for (VertexId v : vertices) {
+        if (!visit(v)) return;
+      }
+      return;
+    }
+    // ForEachSetBitUnion has no break: after a stop the remaining bits
+    // are cheap no-ops.
+    bool go = true;
+    ps.active_bits.ForEachSetBitUnion(
+        ps.store.pending_bits(),
+        [&](size_t li) { go = go && visit(vertices[li]); });
+  }
+
   void ProcessPartitionVertices(WorkerState& worker, const Program& program,
                                 PartitionId p, int superstep,
                                 PartitionStore& ps,
                                 const std::vector<VertexId>& vertices,
                                 PartitionRun& run) {
     SendStaging* staging = run.staging;
-    // Sparse supersteps iterate the set bits of active|pending instead of
-    // probing every vertex (tentpole: bitmap frontiers). The probe a set
-    // bit triggers is the same probe the full scan would have made, so
-    // mid-superstep AP arrivals race identically in both forms. Fault
-    // injection keeps the legacy full scan: the supervisor expects a
-    // Beat per probe and the abort checks want per-vertex granularity.
+    const auto execute = [&](VertexId v) {
+      ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
+      return true;
+    };
     switch (granularity_) {
       case SyncTechnique::Granularity::kNone: {
         PartitionGrant granted(concurrency_);
-        if (fault_active_ || gather_bcast_) {
-          // Gather supersteps must probe every vertex: a halted vertex
-          // with a broadcasting in-neighbor is eligible, but the
-          // broadcast was captured, not stored, so no pending bit marks
-          // it. (Gathering only happens after a dense superstep, where
-          // a full scan is the right shape anyway.)
-          for (VertexId v : vertices) {
-            if (fault_active_ && AttemptAborted(worker)) return;
-            ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
-          }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(), [&](size_t li) {
-                ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                        superstep, run);
-              });
-        }
+        // Gather supersteps must probe every vertex: a halted vertex with
+        // a broadcasting in-neighbor is eligible, but the broadcast was
+        // captured, not stored, so no pending bit marks it. (Gathering
+        // only happens after a dense superstep, where a full scan is the
+        // right shape anyway.)
+        WalkCandidates(worker, ps, vertices, /*full_scan=*/gather_bcast_,
+                       execute);
         break;
       }
       case SyncTechnique::Granularity::kVertexGate:
-        for (VertexId v : vertices) {
-          if (fault_active_ && AttemptAborted(worker)) return;
-          if (!technique_->MayExecuteVertex(worker.id, superstep, v)) {
-            continue;  // stays pending until its token arrives
-          }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
-        }
+        // Full scan: under AP a sparse walk would also skip vertices
+        // whose messages land after their bitmap word was read, which
+        // changes the token schedule's executions.
+        WalkCandidates(worker, ps, vertices, /*full_scan=*/true,
+                       [&](VertexId v) {
+                         // Without its token, v stays pending.
+                         if (technique_->MayExecuteVertex(worker.id,
+                                                          superstep, v)) {
+                           execute(v);
+                         }
+                         return true;
+                       });
         break;
       case SyncTechnique::Granularity::kPartitionLock: {
         if (!PartitionEligible(p)) {
@@ -1237,17 +1255,7 @@ class Engine {
         }
         {
           PartitionGrant granted(concurrency_);
-          if (fault_active_) {
-            for (VertexId v : vertices) {
-              ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
-            }
-          } else {
-            ps.active_bits.ForEachSetBitUnion(
-                ps.store.pending_bits(), [&](size_t li) {
-                  ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                          superstep, run);
-                });
-          }
+          WalkCandidates(worker, ps, vertices, /*full_scan=*/false, execute);
         }
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
@@ -1258,17 +1266,8 @@ class Engine {
         break;
       }
       case SyncTechnique::Granularity::kVertexLock: {
-        // Per-vertex body shared by the sparse and full-scan forms. The
-        // `aborted` flag replaces the mid-loop `return`: ForEachSetBit
-        // has no break, so remaining bits become cheap no-ops.
-        bool aborted = false;
-        auto run_one = [&](VertexId v) {
-          if (aborted) return;
-          if (!VertexEligible(ps, v)) return;
-          if (fault_active_ && AttemptAborted(worker)) {
-            aborted = true;
-            return;
-          }
+        const auto lock_and_execute = [&](VertexId v) {
+          if (!VertexEligible(ps, v)) return true;
           {
             SG_TRACE_SPAN("sync.fork_acquire");
             SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
@@ -1276,30 +1275,24 @@ class Engine {
             ScopedBlocked blocked(supervisor_.get(), worker.id);
             const bool acquired = technique_->AcquireVertex(worker.id, v);
             RecordForkWait(worker, Tracer::NowMicros() - t0);
-            if (!acquired) {  // watchdog abort: lock NOT held
-              aborted = true;
-              return;
-            }
+            if (!acquired) return false;  // watchdog abort: lock NOT held
           }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep, run);
+          execute(v);
           // C1, per vertex: drain before this vertex's forks release.
           if (staging != nullptr && !SkipStagingDrain()) {
             DrainStaging(worker, *staging);
           }
           technique_->ReleaseVertex(worker.id, v);
+          return true;
         };
-        if (fault_active_) {
-          for (VertexId v : vertices) {
-            run_one(v);
-            if (aborted) return;
-          }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(),
-              [&](size_t li) { run_one(vertices[li]); });
-        }
+        WalkCandidates(worker, ps, vertices, /*full_scan=*/false,
+                       lock_and_execute);
         break;
       }
+      case SyncTechnique::Granularity::kBspVertexLock:
+        // WorkerLoop runs this technique through RunSuperstepConstrainedBsp.
+        SG_LOG(kFatal) << "constrained BSP reached the partition walk";
+        break;
     }
   }
 
@@ -1435,7 +1428,7 @@ class Engine {
             return Status::IoError("truncated checkpoint store");
           }
           for (uint64_t k = 0; k < count; ++k) {
-            Message m;
+            Message m{};
             if (!MessageCodec<Message>::Decode(reader, &m)) {
               return Status::IoError("truncated checkpoint message");
             }
@@ -1655,11 +1648,12 @@ class Engine {
         if (VertexEligible(ps, v)) pending.push_back(v);
       }
     }
-    // No staging here (run.staging stays null): sub-superstep freshness
-    // needs each send in the shared out-buffer before the sub-barrier
-    // flush. Aggregates are only read at the outer superstep barrier, so
-    // one fold for the whole logical superstep suffices.
+    // One staging buffer and one fold for the whole logical superstep:
+    // each sub-barrier drains the staging first (sub-superstep freshness
+    // needs every send on the shared out-buffer, or in its store, before
+    // the flush), and aggregates are only read at the outer barrier.
     PartitionRun run;
+    if constexpr (kStaged) run.staging = AcquireStaging(worker);
     int idle_rounds = 0;
     for (;;) {
       if (fault_active_ && AttemptAborted(worker)) break;
@@ -1681,6 +1675,7 @@ class Engine {
 
       // Sub-superstep barrier: deliver this round's messages (C1 needs
       // them visible to later rounds) and agree on global progress.
+      if (run.staging != nullptr) DrainStaging(worker, *run.staging);
       FlushAndAwaitAcks(worker, superstep);
       AwaitBarrier(worker);
       {
@@ -1722,6 +1717,10 @@ class Engine {
       } else {
         idle_rounds = 0;
       }
+    }
+    if (run.staging != nullptr) {
+      DrainStaging(worker, *run.staging);
+      ReleaseStaging(worker, run.staging);
     }
     FoldRun(worker, run);
   }
@@ -1935,24 +1934,20 @@ class Engine {
   Partitioning partitioning_;
   bool has_partitioning_ = false;
   bool ran_ = false;
-  /// Sender-side combining is active (combiner present, enabled by the
-  /// options, and no history recorder — a combined record folds several
-  /// sends, so it has no single provenance). Fixed before workers start.
+  /// Sender-side combining of staged records is active (combiner present
+  /// and no history recorder — a combined record folds several sends, so
+  /// it has no single provenance). Fixed before workers start.
   bool sender_combining_ = false;
-  /// Partition-scoped lock-free send staging is active (trivially
-  /// copyable message payload, >1 worker). Under a history recorder the
-  /// staged records carry their provenance (SendStaging). Fixed before
-  /// workers start.
-  bool send_staging_ = false;
-  /// Same-worker BSP sends go through per-destination-partition bins
-  /// (GPOP-style scatter) instead of eager appends. Fixed before
-  /// workers start; requires send_staging_.
+  /// Same-worker staged sends go through per-destination-partition bins
+  /// (GPOP-style scatter) instead of eager appends: BSP only. Fixed
+  /// before workers start.
   bool bsp_local_bins_ = false;
 
   // --- push/pull switch state (docs/PERF.md) --------------------------
   /// Structural + runtime gate for the per-superstep switch: kPullCapable
-  /// program, BSP, no sync technique, no recorder, no checkpointing, no
-  /// fault injection, and not forced to push. Fixed before workers start.
+  /// program, BSP, no sync technique, no recorder, and not forced to
+  /// push. Fixed before workers start; DecidePull makes the per-superstep
+  /// choice.
   bool pull_enabled_ = false;
   /// Current superstep parks broadcasts in bcast_vals_[bcast_cur_]
   /// instead of materializing them ("pull mode"). Flipped only in the
@@ -2181,23 +2176,19 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   // combining and the pull switch stay off under a recorder, because a
   // folded or pulled message stands for several sends and so has no
   // single (in-edge, version) to record.
-  sender_combining_ =
-      kHasCombiner && options_.sender_combining && recorder_ == nullptr;
-  send_staging_ = std::is_trivially_copyable_v<Message> && num_workers > 1;
-  bsp_local_bins_ =
-      send_staging_ && options_.model == ComputationModel::kBsp;
+  sender_combining_ = kHasCombiner && recorder_ == nullptr;
+  bsp_local_bins_ = options_.model == ComputationModel::kBsp;
   // Push/pull switch (docs/PERF.md): BSP only (a captured broadcast is
   // invisible until the next superstep, which is exactly BSP's contract
   // and exactly what AP must NOT do — Section 4.1 freshness), plain runs
   // only (sync techniques keep their fork-handover read protocol; a
-  // pulled broadcast has no per-message provenance for the recorder;
-  // checkpoints and fault recovery would lose in-flight captured
-  // broadcasts).
+  // pulled broadcast has no per-message provenance for the recorder).
+  // Checkpoint cuts push (DecidePull), so frames and recovery need no
+  // broadcast state.
   pull_enabled_ = kPullCapable &&
                   options_.model == ComputationModel::kBsp &&
                   options_.sync_mode == SyncMode::kNone &&
-                  recorder_ == nullptr && !fault_active_ &&
-                  options_.checkpoint_every == 0 &&
+                  recorder_ == nullptr &&
                   options_.push_pull != PushPullMode::kForcePush;
   if constexpr (kPullCapable) {
     if (pull_enabled_) {
@@ -2411,7 +2402,10 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     }
 
     // First-superstep push/pull decision, from the post-restore frontier
-    // (every later decision happens in the barrier serial section).
+    // (every later decision happens in the barrier serial section). The
+    // capture side is cleared whatever the decision: a failed attempt may
+    // have left captures there, and a later switch to pull does not clear
+    // it.
     capture_bcast_ = false;
     gather_bcast_ = false;
     if (pull_enabled_) {
@@ -2420,14 +2414,11 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
         eligible += ps->active_bits.PopcountUnion(ps->store.pending_bits());
       }
       last_density_milli_ = std::min<int64_t>(
-          1000,
-          Frontier::DensityMilli(eligible, static_cast<size_t>(n)));
+          1000, DensityMilli(eligible, static_cast<size_t>(n)));
       frontier_density_gauge_->Observe(last_density_milli_);
-      capture_bcast_ = DecidePull(last_density_milli_);
-      if (capture_bcast_) {
-        pull_supersteps_->Increment();
-        bcast_bits_[bcast_cur_].ClearAll();
-      }
+      bcast_bits_[bcast_cur_].ClearAll();
+      capture_bcast_ = DecidePull(start_superstep_, last_density_milli_);
+      if (capture_bcast_) pull_supersteps_->Increment();
       SG_LOG(kDebug) << "push/pull: superstep " << start_superstep_
                      << " mode=" << (capture_bcast_ ? "pull" : "push")
                      << " (density " << last_density_milli_ << "/1000)";

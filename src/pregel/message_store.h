@@ -52,9 +52,7 @@ int PickMessageStoreShards(int64_t num_slots);
 /// Arrivals go into per-shard chunked arenas: shard `li & mask` holds
 /// vertex `li`'s chain of fixed-size nodes, so concurrent senders to
 /// one partition contend only per stripe, and the arena's chunks are
-/// reused across supersteps (no steady-state allocation). When the
-/// store has a combiner, arrival folds into the chain head and every
-/// chain stays at most one node long.
+/// reused across supersteps (no steady-state allocation).
 ///
 /// Two consumption modes:
 ///  - double-buffered (BSP): arrivals are invisible until Swap(), which
@@ -77,8 +75,9 @@ int PickMessageStoreShards(int64_t num_slots);
 /// the array (no arena nodes, no chains, no pointer chasing), Consume
 /// returns a one-element span over the accumulator, and Swap is a
 /// vector/bitmap swap plus a leftover merge — the cache-friendly layout
-/// GPOP calls partition bins. The external semantics are identical to
-/// the chain modes (a combiner already folds every chain to one node).
+/// GPOP calls partition bins. The chain modes never combine: a combiner
+/// needs a trivially copyable payload (checked in Init) and so always
+/// selects dense mode.
 ///
 /// `pending()` (vertices with visible messages) is an atomic so
 /// eligibility checks never touch a lock, and `pending_bits()` exposes
@@ -101,8 +100,9 @@ class MessageStore {
             int shard_hint = 0) {
     num_slots_ = num_slots;
     double_buffered_ = double_buffered;
+    SG_CHECK(kDenseCapable || combine == nullptr);
     combine_ = combine;
-    dense_ = kDenseCapable && combine != nullptr;
+    dense_ = combine != nullptr;
     int want = shard_hint > 0 ? shard_hint : PickMessageStoreShards(num_slots);
     shard_bits_ = 0;
     while ((1 << shard_bits_) < want) ++shard_bits_;
@@ -153,10 +153,6 @@ class MessageStore {
   /// `Swap()` rebuilds it and nothing reads it mid-superstep, so the
   /// consume fast path stays free of an extra atomic RMW.
   const Bitmap& pending_bits() const { return pending_bits_; }
-
-  /// True when this store runs in dense accumulator mode (combiner +
-  /// trivially copyable message): no arena, one accumulator per slot.
-  bool dense() const { return dense_; }
 
   /// Appends one message for local vertex `li`.
   void Append(int32_t li, const M& msg) {
@@ -247,11 +243,7 @@ class MessageStore {
         }
         for (int32_t node = chain.head; node >= 0;) {
           Node& n = shard.NodeAt(node);
-          if (combine_ != nullptr && flat_spare_.size() > off) {
-            flat_spare_[off] = combine_(flat_spare_[off], n.msg);
-          } else {
-            flat_spare_.push_back(std::move(n.msg));
-          }
+          flat_spare_.push_back(std::move(n.msg));
           node = n.next;
         }
         slots_spare_[li] =
@@ -328,25 +320,6 @@ class MessageStore {
     return std::span<const M>(scratch->data(), scratch->size());
   }
 
-  /// Calls `fn(li)` for every vertex with visible messages. In direct
-  /// mode `fn` runs under a shard lock and must not block or lock.
-  template <typename Fn>
-  void ForEachPendingVertex(Fn&& fn) {
-    if (dense_ || double_buffered_) {
-      pending_bits_.ForEachSetBit(
-          [&](size_t li) { fn(static_cast<int32_t>(li)); });
-      return;
-    }
-    for (int s = 0; s <= shard_mask_; ++s) {
-      Shard& shard = *shards_[s];
-      sy::MutexLock lock(&shard.mu);
-      const int32_t dense = static_cast<int32_t>(shard.chains.size());
-      for (int32_t d = 0; d < dense; ++d) {
-        if (shard.chains[d].count != 0) fn((d << shard_bits_) | s);
-      }
-    }
-  }
-
   /// Checkpoint support (cold path): visible message count for `li` and
   /// in-order visitation. In direct mode the walk holds the shard lock.
   int64_t VisibleCount(int32_t li) {
@@ -392,8 +365,7 @@ class MessageStore {
   }
 
   /// Arena-occupancy snapshot across shards, one shard lock at a time.
-  /// Chain counts equal live node counts (a combiner folds into the head
-  /// node, so combined chains stay length 1). Safe to call concurrently
+  /// Chain counts equal live node counts. Safe to call concurrently
   /// with appends; the snapshot is per-shard consistent.
   MessageStoreArenaStats Stats() {
     MessageStoreArenaStats stats;
@@ -483,11 +455,6 @@ class MessageStore {
       return;
     }
     Chain& chain = shard.chains[li >> shard_bits_];
-    if (combine_ != nullptr && chain.count > 0) {
-      M& head = shard.NodeAt(chain.head).msg;
-      head = combine_(head, msg);
-      return;
-    }
     const int32_t idx = shard.AllocNode();
     Node& node = shard.NodeAt(idx);
     node.msg = std::move(msg);

@@ -65,18 +65,26 @@ struct FaultToleranceOptions {
   bool Active() const { return recover || !plan.empty(); }
 };
 
-/// Configuration for one engine run.
 /// Per-superstep message transfer strategy for combinable BSP programs
 /// (see docs/PERF.md, "Push vs. pull"). kAuto switches on frontier
 /// density; the force modes pin one strategy for A/B tests. Ignored
-/// (always push) for AP runs, sync techniques, and programs without a
-/// combiner or with non-trivially-copyable messages.
+/// (always push) for AP runs, sync techniques, history-recording runs,
+/// and programs without a combiner or with non-trivially-copyable
+/// messages. A superstep whose barrier writes a checkpoint pushes in
+/// every mode.
 enum class PushPullMode {
   kAuto,
   kForcePush,
   kForcePull,
 };
 
+/// kAuto's density switch point, in vertices per thousand: pull once
+/// ≥40% of vertices are eligible — dense enough that one sequential
+/// sweep over the in-edge CSR beats materializing the per-vertex message
+/// store.
+inline constexpr int64_t kPullDensityThresholdMilli = 400;
+
+/// Configuration for one engine run.
 struct EngineOptions {
   ComputationModel model = ComputationModel::kAsync;
   /// Synchronization technique; any mode other than kNone requires
@@ -102,23 +110,13 @@ struct EngineOptions {
   /// message buffer cache, Section 6.1). Set to 1 to disable batching.
   int64_t message_batch_bytes = 64 * 1024;
 
-  /// Fold messages into a per-destination-worker combining map on the
-  /// sender (only meaningful for programs with a combiner): fewer wire
-  /// bytes and one receiver-side append per destination vertex instead
-  /// of per message. Automatically disabled when record_history is set
-  /// (combined records carry no per-message provenance).
-  bool sender_combining = true;
-
   /// Push/pull strategy for broadcast-style sends (BSP + combiner only).
-  /// Under kAuto the engine pulls a superstep when the broadcast frontier
-  /// density (set bits per 1000 vertices) reaches
-  /// `pull_density_threshold_milli`; sparse supersteps keep pushing.
+  /// Under kAuto the engine pulls a superstep when the frontier density
+  /// (eligible vertices per 1000) reaches kPullDensityThresholdMilli;
+  /// sparse supersteps keep pushing. Supersteps whose barrier writes a
+  /// checkpoint push in every mode; checkpointed and recovering runs
+  /// otherwise switch like any other run.
   PushPullMode push_pull = PushPullMode::kAuto;
-  /// kAuto density switch point, in vertices-per-thousand. 400 means
-  /// "pull once ≥40% of vertices broadcast" — dense enough that one
-  /// sequential sweep over the in-edge CSR beats materializing the
-  /// per-vertex message store.
-  int64_t pull_density_threshold_milli = 400;
 
   /// Fixed extra cost charged to every worker every superstep, used by
   /// the Giraphx emulation bench to model algorithm-level technique

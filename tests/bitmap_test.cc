@@ -158,15 +158,15 @@ TEST(BitmapTest, ConcurrentSetClearDisjointBits) {
 }
 
 TEST(FrontierTest, EligibleCountAndDensity) {
-  Frontier f;
-  f.Reset(1000);
-  for (size_t i = 0; i < 100; ++i) f.active.SetSerial(i);
-  for (size_t i = 50; i < 200; ++i) f.pending.SetSerial(i);
-  EXPECT_EQ(f.EligibleCount(), 200u);  // union of [0,100) and [50,200)
-  EXPECT_EQ(Frontier::DensityMilli(f.EligibleCount(), 1000), 200);
-  EXPECT_EQ(Frontier::DensityMilli(0, 1000), 0);
-  EXPECT_EQ(Frontier::DensityMilli(1000, 1000), 1000);
-  EXPECT_EQ(Frontier::DensityMilli(5, 0), 0) << "empty graph guards div0";
+  Bitmap active(1000), pending(1000);
+  for (size_t i = 0; i < 100; ++i) active.SetSerial(i);
+  for (size_t i = 50; i < 200; ++i) pending.SetSerial(i);
+  const size_t eligible = active.PopcountUnion(pending);
+  EXPECT_EQ(eligible, 200u);  // union of [0,100) and [50,200)
+  EXPECT_EQ(DensityMilli(eligible, 1000), 200);
+  EXPECT_EQ(DensityMilli(0, 1000), 0);
+  EXPECT_EQ(DensityMilli(1000, 1000), 1000);
+  EXPECT_EQ(DensityMilli(5, 0), 0) << "empty graph guards div0";
 }
 
 }  // namespace

@@ -171,19 +171,6 @@ TEST(MessageStoreTest, ArenaChunksPlateauAcrossSupersteps) {
   EXPECT_EQ(store.arena_chunks(), after_first);
 }
 
-TEST(MessageStoreTest, ForEachPendingVertexVisitsExactlyThePending) {
-  for (bool bsp : {true, false}) {
-    MessageStore<int64_t> store;
-    store.Init(40, bsp, nullptr, /*shard_hint=*/8);
-    for (int32_t li : {0, 13, 17, 39}) store.Append(li, li);
-    if (bsp) store.Swap();
-    std::vector<int32_t> seen;
-    store.ForEachPendingVertex([&](int32_t li) { seen.push_back(li); });
-    std::sort(seen.begin(), seen.end());
-    EXPECT_EQ(seen, (std::vector<int32_t>{0, 13, 17, 39}));
-  }
-}
-
 TEST(MessageStoreTest, VisibleCountAndWalkMatchConsume) {
   MessageStore<int64_t> store;
   store.Init(8, /*double_buffered=*/true, nullptr);

@@ -118,8 +118,10 @@ TEST_P(ModelEquivalenceTest, TrianglesIdenticalUnderLdgPartitioning) {
 
 // Sender-side combining is a pure wire/lock optimization: for every
 // combiner-bearing algorithm, running with it on and off must agree.
-// SSSP and WCC use min (exact in int64); PageRank's sum combiner changes
-// floating-point fold order, so it gets a tight numeric tolerance.
+// Combining is on unless a history recorder is attached, so the
+// uncombined side records history. SSSP and WCC use min (exact in
+// int64); PageRank's sum combiner changes floating-point fold order, so
+// it gets a tight numeric tolerance.
 TEST_P(ModelEquivalenceTest, SenderCombiningSsspAndWccIdentical) {
   const uint64_t seed = GetParam().seed;
   Graph g = RandomGraph(seed);
@@ -148,7 +150,7 @@ TEST_P(ModelEquivalenceTest, SenderCombiningSsspAndWccIdentical) {
     opts.compute_threads_per_worker = 1 + static_cast<int>(rng.Uniform(3));
     opts.partition_seed = rng.Next();
     for (bool combining : {false, true}) {
-      opts.sender_combining = combining;
+      opts.record_history = !combining;
       Engine<Sssp> sssp(&g, opts);
       auto sssp_result = sssp.Run(Sssp(0));
       ASSERT_TRUE(sssp_result.ok()) << sssp_result.status();
@@ -176,7 +178,7 @@ TEST_P(ModelEquivalenceTest, SenderCombiningPageRankAgreesWithinTolerance) {
 
   std::vector<double> results[2];
   for (bool combining : {false, true}) {
-    opts.sender_combining = combining;
+    opts.record_history = !combining;
     Engine<PageRank> engine(&g, opts);
     auto result = engine.Run(PageRank(1e-9));
     ASSERT_TRUE(result.ok()) << result.status();
