@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/flightrec.h"
 #include "obs/perfcounters.h"
 
 namespace serigraph {
@@ -71,30 +72,6 @@ std::string CompilerVersion() {
 #endif
 }
 
-#if defined(__has_feature)
-#define SERIGRAPH_HAS_FEATURE(x) __has_feature(x)
-#else
-#define SERIGRAPH_HAS_FEATURE(x) 0
-#endif
-
-std::string SanitizerList() {
-  std::string out;
-  const auto add = [&out](const char* name) {
-    if (!out.empty()) out += ",";
-    out += name;
-  };
-#if defined(__SANITIZE_ADDRESS__) || SERIGRAPH_HAS_FEATURE(address_sanitizer)
-  add("address");
-#endif
-#if defined(__SANITIZE_THREAD__) || SERIGRAPH_HAS_FEATURE(thread_sanitizer)
-  add("thread");
-#endif
-#if SERIGRAPH_HAS_FEATURE(undefined_behavior_sanitizer)
-  add("undefined");
-#endif
-  return out.empty() ? "none" : out;
-}
-
 void AppendCell(std::ostringstream& os, const BenchCell& cell) {
   os << "    {\"name\": \"" << JsonEscape(cell.name) << "\", \"unit\": \""
      << JsonEscape(cell.unit) << "\", \"median\": " << cell.median
@@ -127,7 +104,9 @@ BenchEnvironment CaptureBenchEnvironment() {
 #else
   env.build_type = "debug";
 #endif
-  env.sanitizers = SanitizerList();
+  // The SERIGRAPH_SANITIZE label the obs library was configured with
+  // ("none", "thread", "address,undefined", ...).
+  env.sanitizers = GetBuildInfo().sanitizer;
   // Real probe, not a capability guess: opens a counter group on this
   // thread exactly the way the engine will, so seccomp filters and
   // perf_event_paranoid settings are reflected.

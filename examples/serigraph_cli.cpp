@@ -3,10 +3,10 @@
 // the "serializability as a configuration option" story of the paper
 // (Section 6.5), end to end.
 //
-// Examples:
-//   serigraph_cli --algorithm=coloring --dataset=OR' \
+// Examples (an indented line continues the command above it):
+//   serigraph_cli --algorithm=coloring --dataset=OR'
 //       --sync=partition-locking --workers=8 --verify
-//   serigraph_cli --algorithm=pagerank --generator=powerlaw \
+//   serigraph_cli --algorithm=pagerank --generator=powerlaw
 //       --vertices=20000 --degree=12 --workers=16 --latency-us=100
 //   serigraph_cli --algorithm=sssp --edge-list=/path/graph.txt
 

@@ -34,9 +34,11 @@
 # in Release and exercises the live telemetry plane end to end — a
 # --serve-obs run whose four endpoints all answer (with the exposition
 # validated by scripts/check_prom.py), a manually-triggered incident
-# bundle that is complete on disk, a tail-able --live-report stream, and
-# an injected-hang run where /healthz flips 503 before the process exits
-# 3 with an automatic watchdog incident bundle.
+# bundle that is complete on disk and whose trace tail is a slice of the
+# same run's --trace-out file (one event store), a tail-able
+# --live-report stream, and an injected-hang run where /healthz flips
+# 503 before the process exits 3 with an automatic watchdog incident
+# bundle.
 #
 # --mcheck skips the sanitizer suite entirely: it builds serichk in
 # Release and runs the model-checking gate (ctest -L mcheck) — every
@@ -203,7 +205,7 @@ sys.stdout.write(body.decode())
     --degree=8 --sync=partition-locking --workers=4 \
     --serve-obs=0 --obs-linger-ms=15000 \
     --incident-dir="$OBS_DIR/incidents" --live-report="$LIVE" \
-    > "$LOG" 2>&1 &
+    --trace-out="$OBS_DIR/trace-out.json" > "$LOG" 2>&1 &
   CLI_PID=$!
   if ! PORT="$(wait_for_port "$LOG")"; then
     echo "obs smoke: CLI never announced the obs endpoint" >&2
@@ -263,6 +265,30 @@ EOF
     cat "$LOG" >&2
     exit 1
   fi
+
+  # One event store: the bundle's tail is the newest slice of the trace
+  # that --trace-out drained at the end of the run, so every span in it
+  # appears there with the same name, lane and timing.
+  python3 - "$OBS_DIR/trigger.json" "$OBS_DIR/trace-out.json" <<'EOF'
+import json, os, sys
+
+def spans(path):
+    return [(e["name"], e["pid"], e["tid"], e["ts"], e["dur"])
+            for e in json.load(open(path))["traceEvents"]
+            if e.get("ph") == "X"]
+
+bundle = json.load(open(sys.argv[1]))["bundle"]
+tail = spans(os.path.join(bundle, "trace.json"))
+full = set(spans(sys.argv[2]))
+if not tail:
+    sys.exit("obs smoke: the bundle's trace tail holds no spans")
+missing = [s for s in tail if s not in full]
+if missing:
+    sys.exit(f"obs smoke: {len(missing)} of {len(tail)} bundle-tail spans "
+             f"are not in the --trace-out file, e.g. {missing[0]}")
+print(f"obs smoke: one event store ({len(tail)} tail spans, all among the "
+      f"{len(full)} spans of the --trace-out file)")
+EOF
 
   # --- unhealthy half: an injected hang parks one worker; the watchdog
   # confirms the stall, flips /healthz to 503, and writes an automatic

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "obs/flightrec.h"
+#include "obs/trace.h"
 
 namespace serigraph {
 
@@ -62,7 +63,7 @@ void Supervisor::Fail(int worker, std::string reason) {
   // First failure wins: mark the process degraded (recovery may still
   // succeed and clear this) and capture an incident bundle while the
   // pre-failure flight-recorder tail is still warm.
-  FlightRecorder::RecordInstant("supervisor.failure");
+  Tracer::RecordInstant("supervisor.failure");
   TriggerIncidentDump("supervisor", report.reason, HealthLevel::kDegraded);
   if (on_failure_) on_failure_(report);
 }

@@ -69,7 +69,7 @@ void Transport::Send(WireMessage msg) {
       (msg.kind == MessageKind::kControl ||
        msg.kind == MessageKind::kDataBatch)) {
     msg.span = Tracer::NextFlowId();
-    Tracer::Get().RecordFlow(FlowName(msg.kind), 's', msg.span);
+    Tracer::RecordFlow(FlowName(msg.kind), 's', msg.span);
   }
 
   // Armed wire faults are decided before any transport lock is taken
@@ -219,14 +219,14 @@ std::optional<WireMessage> Transport::Receive(WorkerId worker) {
     }
   }
   // Gap (loss) reports and flow arrows are recorded outside the inbox
-  // critical section: the tracer takes its thread-registry lock on a
+  // critical section: the tracer takes its log-registration lock on a
   // thread's first event, which must never nest under inbox.mu
   // (lock-order fix surfaced by the annotation pass; docs/LOCK_ORDER.md
-  // keeps tracer locks leaf-only), and the loss callback takes engine
-  // and supervisor locks.
+  // keeps the tracer's lock leaf-only), and the loss callback takes
+  // engine and supervisor locks.
   if (gap && loss_cb_) loss_cb_(gap->src, worker, gap->expected, gap->got);
   if (msg->span != 0 && Tracer::enabled()) {
-    Tracer::Get().RecordFlow(FlowName(msg->kind), 'f', msg->span);
+    Tracer::RecordFlow(FlowName(msg->kind), 'f', msg->span);
   }
   return msg;
 }
@@ -265,7 +265,7 @@ std::optional<WireMessage> Transport::TryReceive(WorkerId worker) {
   // As in Receive: loss reports and flow recording stay outside the lock.
   if (gap && loss_cb_) loss_cb_(gap->src, worker, gap->expected, gap->got);
   if (msg->span != 0 && Tracer::enabled()) {
-    Tracer::Get().RecordFlow(FlowName(msg->kind), 'f', msg->span);
+    Tracer::RecordFlow(FlowName(msg->kind), 'f', msg->span);
   }
   return msg;
 }

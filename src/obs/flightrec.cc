@@ -6,9 +6,9 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/utsname.h>
+#include <time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <thread>
 
 #include "common/logging.h"
@@ -36,181 +36,6 @@ namespace serigraph {
 BuildInfo GetBuildInfo() {
   return BuildInfo{SERIGRAPH_BUILD_COMMIT, SERIGRAPH_BUILD_TYPE,
                    SERIGRAPH_BUILD_SANITIZER};
-}
-
-// ---------------------------------------------------------------------------
-// FlightRecorder
-
-std::atomic<bool> FlightRecorder::enabled_{true};
-
-FlightRecorder& FlightRecorder::Get() {
-  // Leaked on purpose: the fatal-signal path may dump during static
-  // destruction, and a destructed recorder must never be reachable.
-  static FlightRecorder* recorder = new FlightRecorder();
-  return *recorder;
-}
-
-FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  static thread_local RingLease lease;
-  if (lease.ring == nullptr) {
-    sy::MutexLock lock(&rings_mu_);
-    if (free_rings_.empty()) {
-      rings_.push_back(std::make_unique<Ring>());
-      free_rings_.push_back(rings_.back().get());
-    }
-    Ring* ring = free_rings_.back();
-    free_rings_.pop_back();
-    // The previous owner's events leave the snapshot here but stay in
-    // event_count(). Its last writes happened before it released the
-    // ring under rings_mu_.
-    // mo: best-effort ring; snapshots may tear
-    const uint64_t head = ring->head.load(std::memory_order_relaxed);
-    reused_events_ += static_cast<int64_t>(head);
-    // mo: best-effort ring; snapshots may tear
-    ring->head.store(0, std::memory_order_relaxed);
-    ring->tid = next_tid_++;
-    lease.ring = ring;
-  }
-  return lease.ring;
-}
-
-FlightRecorder::RingLease::~RingLease() {
-  if (ring != nullptr) FlightRecorder::Get().ReleaseRing(ring);
-  // A record from a later thread-exit destructor then takes a ring of its
-  // own instead of writing into one another thread may already own.
-  ring = nullptr;
-}
-
-void FlightRecorder::ReleaseRing(Ring* ring) {
-  sy::MutexLock lock(&rings_mu_);
-  free_rings_.push_back(ring);
-}
-
-void FlightRecorder::Record(const char* name, char ph, int64_t ts_us,
-                            int64_t value) {
-  Ring* ring = RingForThisThread();
-  const uint64_t idx =  // mo: best-effort ring; snapshots may tear
-      ring->head.fetch_add(1, std::memory_order_relaxed) % kRingCapacity;
-  Slot& slot = ring->slots[idx];
-  // All relaxed: the slot is owned by this thread for writing; snapshot
-  // readers tolerate torn records (every field individually valid).
-  // mo: best-effort ring; snapshots may tear
-  slot.ts_us.store(ts_us, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.value.store(value, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.ph.store(ph, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.name.store(name, std::memory_order_relaxed);
-}
-
-void FlightRecorder::RecordSpan(const char* name, int64_t start_us,
-                                int64_t dur_us) {
-  if (!enabled()) return;
-  Get().Record(name, 'X', start_us, dur_us);
-}
-
-void FlightRecorder::RecordCounter(const char* name, int64_t value) {
-  if (!enabled()) return;
-  Get().Record(name, 'C', Tracer::NowMicros(), value);
-}
-
-void FlightRecorder::RecordInstant(const char* name) {
-  if (!enabled()) return;
-  Get().Record(name, 'i', Tracer::NowMicros(), 0);
-}
-
-std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<FlightEvent> events;
-  {
-    sy::MutexLock lock(&rings_mu_);
-    for (const auto& ring : rings_) {
-      // mo: best-effort ring; snapshots may tear
-      const uint64_t head = ring->head.load(std::memory_order_relaxed);
-      const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-      for (uint64_t i = 0; i < n; ++i) {
-        const Slot& slot = ring->slots[i];
-        FlightEvent e;
-        // mo: best-effort ring; snapshots may tear
-        e.name = slot.name.load(std::memory_order_relaxed);
-        if (e.name == nullptr) continue;
-        // mo: best-effort ring; snapshots may tear
-        e.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-        // mo: best-effort ring; snapshots may tear
-        e.value = slot.value.load(std::memory_order_relaxed);
-        // mo: best-effort ring; snapshots may tear
-        e.ph = slot.ph.load(std::memory_order_relaxed);
-        e.tid = ring->tid;
-        events.push_back(e);
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.ts_us < b.ts_us;
-            });
-  return events;
-}
-
-std::string FlightRecorder::TailChromeTraceJson() const {
-  const std::vector<FlightEvent> events = Snapshot();
-  JsonWriter w;
-  w.BeginObject().Key("traceEvents").BeginArray();
-  for (const FlightEvent& e : events) {
-    w.BeginObject()
-        .Key("name")
-        .Value(e.name)
-        .Key("pid")
-        .Value(1)
-        .Key("tid")
-        .Value(static_cast<int64_t>(e.tid))
-        .Key("ts")
-        .Value(e.ts_us);
-    switch (e.ph) {
-      case 'X':
-        w.Key("ph").Value("X").Key("dur").Value(e.value);
-        break;
-      case 'C':
-        w.Key("ph").Value("C").Key("args").BeginObject().Key("value").Value(
-            e.value);
-        w.EndObject();
-        break;
-      default:
-        w.Key("ph").Value("i").Key("s").Value("g");
-        break;
-    }
-    w.EndObject();
-  }
-  w.EndArray().Key("displayTimeUnit").Value("ms").EndObject();
-  return w.str();
-}
-
-int64_t FlightRecorder::event_count() const {
-  sy::MutexLock lock(&rings_mu_);
-  int64_t total = reused_events_;
-  for (const auto& ring : rings_) {
-    // mo: best-effort ring; snapshots may tear
-    total += static_cast<int64_t>(ring->head.load(std::memory_order_relaxed));
-  }
-  return total;
-}
-
-size_t FlightRecorder::ring_count() const {
-  sy::MutexLock lock(&rings_mu_);
-  return rings_.size();
-}
-
-void FlightRecorder::ResetForTest() {
-  sy::MutexLock lock(&rings_mu_);
-  reused_events_ = 0;
-  for (auto& ring : rings_) {
-    // mo: best-effort ring; snapshots may tear
-    ring->head.store(0, std::memory_order_relaxed);
-    for (Slot& slot : ring->slots) {
-      // mo: best-effort ring; snapshots may tear
-      slot.name.store(nullptr, std::memory_order_relaxed);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +194,70 @@ void TelemetryHub::ResetForTest() {
 }
 
 // ---------------------------------------------------------------------------
+// Status blocks
+
+std::string BuildInfoJson() {
+  const BuildInfo build = GetBuildInfo();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("commit")
+      .Value(build.commit)
+      .Key("build_type")
+      .Value(build.build_type)
+      .Key("sanitizer")
+      .Value(build.sanitizer)
+      .EndObject();
+  return w.str();
+}
+
+std::string RunStatusJson() {
+  TelemetryHub::RunStatus& run = TelemetryHub::Get().run();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("running")  // mo: live telemetry; approximate by design
+      .Value(run.running.load(std::memory_order_relaxed))
+      .Key("superstep")  // mo: live telemetry; approximate by design
+      .Value(run.superstep.load(std::memory_order_relaxed))
+      .Key("workers")  // mo: live telemetry; approximate by design
+      .Value(run.workers.load(std::memory_order_relaxed))
+      .Key("active_vertices")  // mo: live telemetry; approximate by design
+      .Value(run.active_vertices.load(std::memory_order_relaxed))
+      .Key("recovery_attempts")  // mo: live telemetry; approximate by design
+      .Value(run.recovery_attempts.load(std::memory_order_relaxed))
+      .EndObject();
+  return w.str();
+}
+
+std::string BeaconsJson(int num_workers) {
+  Introspector& in = Introspector::Get();
+  JsonWriter w;
+  w.BeginArray();
+  for (int i = 0; i < num_workers; ++i) {
+    const BeaconSnapshot b = in.ReadBeacon(i);
+    w.BeginObject()
+        .Key("worker")
+        .Value(i)
+        .Key("phase")
+        .Value(WorkerPhaseName(b.phase))
+        .Key("superstep")
+        .Value(b.superstep)
+        .Key("phase_since_us")
+        .Value(b.phase_since_us)
+        .Key("progress_epoch")
+        .Value(static_cast<int64_t>(b.progress_epoch))
+        .Key("acquiring")
+        .Value(b.acquiring)
+        .Key("token_holder")
+        .Value(b.token_holder)
+        .Key("inbox_depth")
+        .Value(b.inbox_depth)
+        .EndObject();
+  }
+  w.EndArray();
+  return w.str();
+}
+
+// ---------------------------------------------------------------------------
 // IncidentManager
 
 namespace {
@@ -421,29 +310,7 @@ std::string WaitForStateJson() {
     for (int worker : cycle) w.Value(worker);
     w.EndArray();
     w.Key("summary").Value(WaitForGraphSummary(graph));
-    w.Key("beacons").BeginArray();
-    for (int i = 0; i < graph.num_workers; ++i) {
-      const BeaconSnapshot b = in.ReadBeacon(i);
-      w.BeginObject()
-          .Key("worker")
-          .Value(i)
-          .Key("phase")
-          .Value(WorkerPhaseName(b.phase))
-          .Key("superstep")
-          .Value(b.superstep)
-          .Key("phase_since_us")
-          .Value(b.phase_since_us)
-          .Key("progress_epoch")
-          .Value(static_cast<int64_t>(b.progress_epoch))
-          .Key("acquiring")
-          .Value(b.acquiring)
-          .Key("token_holder")
-          .Value(b.token_holder)
-          .Key("inbox_depth")
-          .Value(b.inbox_depth)
-          .EndObject();
-    }
-    w.EndArray();
+    w.Key("beacons").Raw(BeaconsJson(graph.num_workers));
   } else {
     w.Key("introspector").Value(false);
   }
@@ -452,7 +319,6 @@ std::string WaitForStateJson() {
 }
 
 std::string EnvironmentJson() {
-  const BuildInfo build = GetBuildInfo();
   JsonWriter w;
   w.BeginObject()
       .Key("pid")
@@ -460,14 +326,7 @@ std::string EnvironmentJson() {
       .Key("uptime_us")
       .Value(Tracer::NowMicros())
       .Key("build")
-      .BeginObject()
-      .Key("commit")
-      .Value(build.commit)
-      .Key("build_type")
-      .Value(build.build_type)
-      .Key("sanitizer")
-      .Value(build.sanitizer)
-      .EndObject()
+      .Raw(BuildInfoJson())
       .Key("hardware_threads")
       .Value(static_cast<int64_t>(std::thread::hardware_concurrency()));
   struct utsname uts;
@@ -483,18 +342,7 @@ std::string EnvironmentJson() {
         .EndObject();
   }
   w.Key("health").Raw(HealthState::Get().ToJson());
-  TelemetryHub::RunStatus& run = TelemetryHub::Get().run();
-  w.Key("run")
-      .BeginObject()
-      .Key("running")  // mo: live telemetry; approximate by design
-      .Value(run.running.load(std::memory_order_relaxed))
-      .Key("superstep")  // mo: live telemetry; approximate by design
-      .Value(run.superstep.load(std::memory_order_relaxed))
-      .Key("workers")  // mo: live telemetry; approximate by design
-      .Value(run.workers.load(std::memory_order_relaxed))
-      .Key("recovery_attempts")  // mo: live telemetry; approximate by design
-      .Value(run.recovery_attempts.load(std::memory_order_relaxed))
-      .EndObject();
+  w.Key("run").Raw(RunStatusJson());
   w.EndObject();
   return w.str();
 }
@@ -545,7 +393,7 @@ StatusOr<std::string> IncidentManager::Dump(const std::string& trigger,
   const char* files[] = {"trace.json", "waitfor.json", "metrics.prom",
                          "faults.json", "env.json"};
   status = WriteTextFile(bundle + "/trace.json",
-                         FlightRecorder::Get().TailChromeTraceJson());
+                         Tracer::Get().ToChromeTraceJson(Tracer::kTailEvents));
   if (status.ok()) {
     status = WriteTextFile(bundle + "/waitfor.json", WaitForStateJson());
   }
@@ -632,7 +480,7 @@ void TriggerIncidentDump(const std::string& trigger, const std::string& reason,
   if (level != HealthLevel::kOk) {
     HealthState::Get().Report(level, trigger, reason);
   }
-  FlightRecorder::RecordInstant("incident.trigger");
+  Tracer::RecordInstant("incident.trigger");
   const StatusOr<std::string> bundle =
       IncidentManager::Get().Dump(trigger, reason);
   if (!bundle.ok()) {
@@ -651,6 +499,13 @@ namespace {
 
 std::atomic<bool> g_fatal_handlers_installed{false};
 std::atomic<bool> g_fatal_dump_started{false};
+std::atomic<bool> g_fatal_dump_done{false};
+/// Write end of the pipe the dumper thread blocks on.
+std::atomic<int> g_fatal_wake_fd{-1};
+
+// A dying thread waits at most this long (in 10 ms slices) for its
+// bundle: the dumper may block on a lock the dying thread holds.
+constexpr int kFatalDumpWaitSlices = 500;
 
 const char* FatalSignalName(int sig) {
   switch (sig) {
@@ -667,20 +522,37 @@ const char* FatalSignalName(int sig) {
   }
 }
 
+// Runs on its own thread, outside signal context, so the dump may
+// allocate and take locks.
+void FatalDumpLoop(int wake_read_fd) {
+  int sig = 0;
+  ssize_t n;
+  do {
+    n = ::read(wake_read_fd, &sig, sizeof(sig));
+  } while (n < 0 && errno == EINTR);
+  if (n != sizeof(sig)) return;
+  TriggerIncidentDump(std::string("fatal-") + FatalSignalName(sig),
+                      "fatal signal received", HealthLevel::kUnhealthy);
+  g_fatal_dump_done.store(true, std::memory_order_release);
+}
+
 void FatalSignalHandler(int sig) {
-  // Restore the default disposition first: a second fault anywhere below
-  // (including inside the dump) terminates immediately instead of
-  // recursing into this handler.
-  struct sigaction dfl;
-  memset(&dfl, 0, sizeof(dfl));
+  // Async-signal-safe calls only. Restore the default disposition first:
+  // a second fault of this kind terminates at once instead of recursing.
+  struct sigaction dfl = {};
   dfl.sa_handler = SIG_DFL;
   ::sigaction(sig, &dfl, nullptr);
   if (!g_fatal_dump_started.exchange(true)) {
-    // Best effort, knowingly not async-signal-safe (allocation, locks):
-    // the process is already dead, a truncated bundle beats none, and
-    // the reentry guard plus SIG_DFL above bound the blast radius.
-    TriggerIncidentDump(std::string("fatal-") + FatalSignalName(sig),
-                        "fatal signal received", HealthLevel::kUnhealthy);
+    const int fd = g_fatal_wake_fd.load(std::memory_order_acquire);
+    if (::write(fd, &sig, sizeof(sig)) != sizeof(sig)) {
+      g_fatal_dump_done.store(true, std::memory_order_release);
+    }
+  }
+  const struct timespec slice = {0, 10 * 1000 * 1000};
+  for (int i = 0; i < kFatalDumpWaitSlices &&
+                  !g_fatal_dump_done.load(std::memory_order_acquire);
+       ++i) {
+    ::nanosleep(&slice, nullptr);
   }
   ::raise(sig);
 }
@@ -689,8 +561,15 @@ void FatalSignalHandler(int sig) {
 
 void InstallFatalSignalHandlers() {
   if (g_fatal_handlers_installed.exchange(true)) return;
-  struct sigaction action;
-  memset(&action, 0, sizeof(action));
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    SG_LOG(kWarning) << "fatal-signal bundles disabled: pipe: "
+                     << strerror(errno);
+    return;
+  }
+  std::thread(FatalDumpLoop, fds[0]).detach();
+  g_fatal_wake_fd.store(fds[1], std::memory_order_release);
+  struct sigaction action = {};
   action.sa_handler = FatalSignalHandler;
   sigemptyset(&action.sa_mask);
   for (int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,119 +26,6 @@ struct BuildInfo {
   const char* sanitizer;  ///< SERIGRAPH_SANITIZE value, or "none"
 };
 BuildInfo GetBuildInfo();
-
-/// One record in the flight recorder's ring: a completed span ('X'),
-/// a counter sample ('C'), or an instant event ('i'). `name` is always
-/// a static-storage string literal (the recording macros guarantee it),
-/// so a torn read can mix fields across two records but every field it
-/// sees is individually valid.
-struct FlightEvent {
-  const char* name = nullptr;
-  int64_t ts_us = 0;   ///< µs since process start (Tracer epoch)
-  int64_t value = 0;   ///< duration for spans, value for counters
-  char ph = 0;         ///< 'X' span, 'C' counter, 'i' instant
-  uint32_t tid = 0;    ///< recorder-assigned thread index
-};
-
-/// Always-on, lock-free, bounded black box: every thread that records
-/// gets its own fixed ring of the most recent events (overwrite-oldest),
-/// written with relaxed atomic stores only — no locks, no allocation,
-/// no fences on the hot path, TSan-clean by construction. Unlike the
-/// Tracer (opt-in, unbounded, post-run artifact), the flight recorder
-/// is enabled by default and exists so that the moments *before* a
-/// deadlock, crash, or abort are still reconstructible afterwards.
-///
-/// Snapshot readers walk the rings with relaxed loads; a record being
-/// overwritten concurrently can yield a torn event (fields from two
-/// different records), which is acceptable for a diagnostic tail —
-/// names are static literals, so nothing ever dangles.
-class FlightRecorder {
- public:
-  /// Events retained per recording thread (power of two).
-  static constexpr size_t kRingCapacity = 2048;
-
-  static FlightRecorder& Get();
-
-  /// Hot-path gate, mirroring Tracer::enabled(). Default true.
-  // mo: on/off gate; stale reads tolerated
-  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
-  // mo: on/off gate; stale reads tolerated
-  static void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  // mo: on/off gate; stale reads tolerated
-  static void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-  /// Record a completed span. `name` must be a string literal (or have
-  /// static storage duration).
-  static void RecordSpan(const char* name, int64_t start_us, int64_t dur_us);
-  /// Record a counter sample. `name` must have static storage duration.
-  static void RecordCounter(const char* name, int64_t value);
-  /// Record an instant event stamped with the current time. `name` must
-  /// have static storage duration.
-  static void RecordInstant(const char* name);
-
-  /// All retained events across every thread's ring, sorted by
-  /// timestamp. Torn records (see class comment) may appear under
-  /// concurrent writes; null-named (never-written) slots are skipped.
-  std::vector<FlightEvent> Snapshot() const;
-
-  /// The retained tail rendered as a self-contained Chrome trace
-  /// (chrome://tracing / Perfetto "traceEvents" JSON).
-  std::string TailChromeTraceJson() const;
-
-  /// Total events ever recorded (including overwritten ones).
-  int64_t event_count() const;
-
-  /// Rings allocated so far. A thread's ring returns to a free list when
-  /// the thread exits and the next new thread reuses it, so this is the
-  /// peak number of recording threads alive at once, not the number of
-  /// threads ever created.
-  size_t ring_count() const;
-
-  /// Drops all retained events (the rings stay registered). Tests only.
-  void ResetForTest();
-
- private:
-  struct Slot {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<int64_t> ts_us{0};
-    std::atomic<int64_t> value{0};
-    std::atomic<char> ph{0};
-  };
-  struct Ring {
-    /// Written under rings_mu_ when a thread takes the ring.
-    uint32_t tid = 0;
-    /// Next slot to write; monotonic while one thread owns the ring.
-    std::atomic<uint64_t> head{0};
-    Slot slots[kRingCapacity];
-  };
-  /// Thread-local owner of the calling thread's ring: its destructor, run
-  /// at thread exit, hands the ring back to free_rings_.
-  struct RingLease {
-    Ring* ring = nullptr;
-    RingLease() = default;
-    ~RingLease();
-    RingLease(const RingLease&) = delete;
-    RingLease& operator=(const RingLease&) = delete;
-  };
-
-  FlightRecorder() = default;
-  void Record(const char* name, char ph, int64_t ts_us, int64_t value);
-  Ring* RingForThisThread();
-  void ReleaseRing(Ring* ring);
-
-  static std::atomic<bool> enabled_;
-
-  /// Leaf lock: guards ring registration and snapshot iteration only;
-  /// never held while recording.
-  mutable sy::Mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_ SY_GUARDED_BY(rings_mu_);
-  /// Rings of exited threads, waiting for a new thread. Their events
-  /// stay visible to Snapshot() until the ring is taken again.
-  std::vector<Ring*> free_rings_ SY_GUARDED_BY(rings_mu_);
-  uint32_t next_tid_ SY_GUARDED_BY(rings_mu_) = 0;
-  /// Events recorded into rings before they were reused (event_count()).
-  int64_t reused_events_ SY_GUARDED_BY(rings_mu_) = 0;
-};
 
 /// Process-wide health, fed by the watchdog (deadlock/stall
 /// confirmation), the supervisor (worker failures), and the engine
@@ -241,6 +127,17 @@ class TelemetryHub {
   static std::atomic<bool> serving_;
 };
 
+/// Status blocks rendered the same way by /statusz and incident bundles,
+/// each as a JSON value for JsonWriter::Raw.
+/// {"commit":...,"build_type":...,"sanitizer":...}
+std::string BuildInfoJson();
+/// TelemetryHub::RunStatus: {"running":...,"superstep":...,"workers":...,
+/// "active_vertices":...,"recovery_attempts":...}
+std::string RunStatusJson();
+/// One object per worker's introspection beacon (phase, superstep,
+/// progress epoch, acquisition, token, inbox depth), as an array.
+std::string BeaconsJson(int num_workers);
+
 /// One incident bundle already written to disk.
 struct IncidentRecord {
   std::string dir;      ///< bundle directory (absolute or as configured)
@@ -252,7 +149,8 @@ struct IncidentRecord {
 /// Writes and indexes incident bundles. A bundle is a directory
 /// `<incident_dir>/incident-<seq>-<trigger>/` containing:
 ///   MANIFEST.json  trigger, reason, timestamps, file list
-///   trace.json     flight-recorder tail (Chrome trace format)
+///   trace.json     the Tracer's newest kTailEvents events per thread
+///                  (Chrome trace format)
 ///   waitfor.json   wait-for graph + cycle + beacons (introspector on)
 ///   metrics.prom   Prometheus exposition of the current metrics
 ///   faults.json    fault-injector events fired so far
@@ -295,17 +193,18 @@ class IncidentManager {
 };
 
 /// Convenience used by the watchdog, supervisor, engine, and CLI:
-/// flips health (unless `level` is kOk), records a flight-recorder
-/// instant, and writes an incident bundle if an incident dir is
+/// flips health (unless `level` is kOk), records a trace instant, and
+/// writes an incident bundle if an incident dir is
 /// configured. Never throws, never fails the caller.
 void TriggerIncidentDump(const std::string& trigger, const std::string& reason,
                          HealthLevel level = HealthLevel::kOk);
 
-/// Installs best-effort SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that
-/// write one incident bundle and then re-raise with the default
-/// disposition. Not strictly async-signal-safe — the process is dying
-/// anyway, and a truncated bundle beats none — but reentry-guarded so
-/// a crash inside the dump cannot loop. Idempotent.
+/// Installs SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that have one incident
+/// bundle written and then re-raise with the default disposition. The
+/// handler itself only makes async-signal-safe calls: it wakes a dumper
+/// thread (started here) through a pipe and waits up to about 5 s for it,
+/// since the dump allocates and takes locks the dying thread may hold.
+/// Idempotent.
 void InstallFatalSignalHandlers();
 
 }  // namespace serigraph

@@ -288,7 +288,7 @@ StatusOr<std::unique_ptr<ObsServer>> ObsServer::Start(const Options& options) {
   if (!http.ok()) return http.status();
   server->http_ = std::move(http).value();
   TelemetryHub::SetServing(true);
-  FlightRecorder::RecordInstant("obs.server_start");
+  Tracer::RecordInstant("obs.server_start");
   return server;
 }
 
@@ -345,8 +345,6 @@ HttpResponse ObsServer::Statusz() const {
     const auto it = metrics.find(name);
     return it == metrics.end() ? 0 : it->second;
   };
-  TelemetryHub::RunStatus& run = TelemetryHub::Get().run();
-  const BuildInfo build = GetBuildInfo();
   const MemoryStatus mem = ReadMemoryStatus();
 
   JsonWriter w;
@@ -356,29 +354,11 @@ HttpResponse ObsServer::Statusz() const {
       .Key("uptime_seconds")
       .Value(static_cast<double>(Tracer::NowMicros()) / 1e6)
       .Key("build")
-      .BeginObject()
-      .Key("commit")
-      .Value(build.commit)
-      .Key("build_type")
-      .Value(build.build_type)
-      .Key("sanitizer")
-      .Value(build.sanitizer)
-      .EndObject()
+      .Raw(BuildInfoJson())
       .Key("health")
       .Raw(HealthState::Get().ToJson())
       .Key("run")
-      .BeginObject()
-      .Key("running")  // mo: live telemetry; approximate by design
-      .Value(run.running.load(std::memory_order_relaxed))
-      .Key("superstep")  // mo: live telemetry; approximate by design
-      .Value(run.superstep.load(std::memory_order_relaxed))
-      .Key("workers")  // mo: live telemetry; approximate by design
-      .Value(run.workers.load(std::memory_order_relaxed))
-      .Key("active_vertices")  // mo: live telemetry; approximate by design
-      .Value(run.active_vertices.load(std::memory_order_relaxed))
-      .Key("recovery_attempts")  // mo: live telemetry; approximate by design
-      .Value(run.recovery_attempts.load(std::memory_order_relaxed))
-      .EndObject()
+      .Raw(RunStatusJson())
       .Key("rss_kb")
       .Value(mem.rss_kb)
       .Key("arena")
@@ -393,36 +373,13 @@ HttpResponse ObsServer::Statusz() const {
       .Value(metric("store.max_chain_len"))
       .EndObject()
       .Key("flight_events")
-      .Value(FlightRecorder::Get().event_count())
+      .Value(Tracer::Get().event_count())
       .Key("incidents")
       .Value(static_cast<int64_t>(IncidentManager::Get().List().size()));
 
   if (Introspector::enabled()) {
     Introspector& in = Introspector::Get();
-    const int num_workers = in.num_workers();
-    w.Key("workers").BeginArray();
-    for (int i = 0; i < num_workers; ++i) {
-      const BeaconSnapshot b = in.ReadBeacon(i);
-      w.BeginObject()
-          .Key("worker")
-          .Value(i)
-          .Key("phase")
-          .Value(WorkerPhaseName(b.phase))
-          .Key("superstep")
-          .Value(b.superstep)
-          .Key("phase_since_us")
-          .Value(b.phase_since_us)
-          .Key("progress_epoch")
-          .Value(static_cast<int64_t>(b.progress_epoch))
-          .Key("acquiring")
-          .Value(b.acquiring)
-          .Key("token_holder")
-          .Value(b.token_holder)
-          .Key("inbox_depth")
-          .Value(b.inbox_depth)
-          .EndObject();
-    }
-    w.EndArray();
+    w.Key("workers").Raw(BeaconsJson(in.num_workers()));
     w.Key("contention_top").BeginArray();
     for (const ContentionEntry& e : in.ContentionTopK(10)) {
       w.BeginObject()

@@ -2,153 +2,202 @@
 #define SERIGRAPH_OBS_TRACE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "obs/flightrec.h"
 
 namespace serigraph {
 
-/// One recorded event: a completed span ("X" phase in the Chrome
-/// trace-event format), one end of a flow arrow ('s' = start at the
-/// sender, 'f' = finish at the receiver) binding cross-thread causality,
-/// or a counter sample ('C') rendered by the viewer as a value track
-/// (per-superstep IPC, LLC misses, RSS — see docs/PROFILING.md).
-/// `name` must point at a string with static storage duration — span
-/// macros pass literals, so recording never copies or allocates.
+/// One recorded event: a completed span ('X' in the Chrome trace-event
+/// format), a counter sample ('C', rendered by the viewer as a value
+/// track: per-superstep IPC, LLC misses, RSS, see docs/PROFILING.md), an
+/// instant ('i'), or one end of a flow arrow binding cross-thread
+/// causality ('s' = start at the sender, 'f' = finish at the receiver).
+/// `name` always has static storage duration (the recording macros pass
+/// literals), so recording never copies or allocates.
 struct TraceEvent {
   const char* name = nullptr;
-  int64_t ts_us = 0;   ///< start, microseconds since the trace epoch
-  int64_t dur_us = 0;  ///< duration (spans) or sampled value (counters)
-  char ph = 'X';       ///< 'X' span, 's'/'f' flow ends, 'C' counter
-  uint64_t id = 0;     ///< flow id pairing 's' with 'f' (flows only)
+  int64_t ts_us = 0;  ///< µs since the trace epoch (process start)
+  int64_t value = 0;  ///< duration ('X'), sample ('C'), flow id ('s'/'f')
+  char ph = 0;
+  uint32_t tid = 0;   ///< the recording thread's lane in the export
 };
 
-/// Process-wide tracer with per-thread event buffers.
+/// Process-wide event store: one log per recording thread, fed by the
+/// SG_TRACE_* macros. A single retention value decides what the logs keep:
 ///
-/// Design goals (in priority order):
-///  1. Near-zero cost when disabled: the span macros check one relaxed
-///     atomic load and touch nothing else.
-///  2. No locks on the hot path when enabled: each thread appends to its
-///     own chunked buffer; a chunk's element count is published with a
-///     release store and read by the exporter with an acquire load, so
-///     concurrent export observes a consistent prefix (race-free under
-///     TSan; see tests/trace_test.cc and scripts/check.sh).
-///  3. Chrome trace-event JSON output, loadable in chrome://tracing and
-///     Perfetto (https://ui.perfetto.dev).
+///  - kTail (the default): the always-on flight recorder. Each log is a
+///    ring of the thread's newest kTailEvents events, so the moments
+///    before a deadlock, crash or abort stay reconstructible in incident
+///    bundles.
+///  - kFull (Enable()): the `--trace-out` trace. Logs grow one chunk of
+///    kTailEvents at a time up to kMaxChunksPerThread chunks; after that a
+///    thread's events are dropped and counted. A log whose tail already
+///    wrapped before Enable() stays a ring until Reset().
+///  - kOff: nothing is recorded and no lock is taken (serichk, whose
+///    explored state space must not contain the recorder's registration).
 ///
-/// Buffers are bounded (kMaxChunksPerThread); once a thread fills its
-/// budget further events from that thread are dropped and counted.
+/// Recording is lock-free after a thread's first event: slots are relaxed
+/// atomics written by the owning thread only, and the log's `head` is
+/// published with a release store. An exporter reading a full trace sees
+/// a consistent prefix of every log; a tail being overwritten while it is
+/// read may yield a torn event (fields from two records), which every
+/// field individually survives because names are static literals.
+///
+/// A thread's log goes to a free list when the thread exits and the next
+/// new thread takes it over, so a process that starts fresh engine threads
+/// for every run holds as many logs as it ever had threads alive at once.
+/// Under kFull a new thread only takes an empty free log, so the events of
+/// exited threads stay exportable until Reset().
 class Tracer {
  public:
-  static constexpr size_t kChunkCapacity = 4096;
-  static constexpr size_t kMaxChunksPerThread = 256;
+  /// Events per chunk; a tail keeps this many events per thread.
+  static constexpr size_t kTailEvents = 2048;
+  /// A full trace keeps at most kTailEvents * kMaxChunksPerThread (1M)
+  /// events per thread.
+  static constexpr size_t kMaxChunksPerThread = 512;
 
-  /// The process-wide tracer instance used by the SG_TRACE_* macros.
+  enum class Retention : int { kOff, kTail, kFull };
+
+  /// The process-wide instance used by the SG_TRACE_* macros.
   static Tracer& Get();
 
-  /// Fast global check, inlined into every span constructor.
-  static bool enabled() {
+  static Retention retention() {
     // mo: on/off gate; stale reads tolerated
-    return enabled_.load(std::memory_order_relaxed);
+    return retention_.load(std::memory_order_relaxed);
   }
+  static void SetRetention(Retention retention) {
+    // mo: on/off gate; stale reads tolerated
+    retention_.store(retention, std::memory_order_relaxed);
+  }
+  /// Whether events are recorded at all.
+  static bool recording() { return retention() != Retention::kOff; }
+  /// Whether a full trace is being kept (flow arrows, fork-wait spans and
+  /// thread names are only produced then).
+  static bool enabled() { return retention() == Retention::kFull; }
 
-  // mo: on/off gate; stale reads tolerated
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  // mo: on/off gate; stale reads tolerated
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
+  void Enable() { SetRetention(Retention::kFull); }
+  /// Back to the always-on tail; events recorded so far stay.
+  void Disable() { SetRetention(Retention::kTail); }
 
   /// Microseconds since the trace epoch (process start).
   static int64_t NowMicros();
 
-  /// Appends a completed span to the calling thread's buffer.
-  void RecordComplete(const char* name, int64_t ts_us, int64_t dur_us);
-
-  /// Appends one end of a flow arrow at the current time. `ph` is 's'
-  /// (start, at the sender) or 'f' (finish, at the receiver); both ends
-  /// must use the same `name` and `id` to be connected by the viewer.
-  void RecordFlow(const char* name, char ph, uint64_t id);
-
-  /// Appends a counter sample ('C' phase) at the current time. The
-  /// viewer plots successive samples with the same `name` on one value
-  /// track per thread.
-  void RecordCounter(const char* name, int64_t value);
+  /// Appends one event to the calling thread's log. `name` must have
+  /// static storage duration.
+  static void Record(const char* name, char ph, int64_t ts_us, int64_t value);
+  /// An instant event stamped with the current time.
+  static void RecordInstant(const char* name) {
+    Record(name, 'i', NowMicros(), 0);
+  }
+  /// One end of a flow arrow at the current time: `ph` is 's' at the
+  /// sender or 'f' at the receiver; both ends carry the same name and id.
+  static void RecordFlow(const char* name, char ph, uint64_t id) {
+    Record(name, ph, NowMicros(), static_cast<int64_t>(id));
+  }
 
   /// Allocates a process-unique nonzero flow id (for WireMessage::span).
   static uint64_t NextFlowId();
 
-  /// Names the calling thread in the exported trace ("worker-3"). Safe to
-  /// call at any time; the last name wins.
+  /// Names the calling thread's lane in the export ("worker-3"). The last
+  /// name wins; a thread's name is dropped when another thread takes over
+  /// its log. Ignored under kOff.
   void SetCurrentThreadName(const std::string& name);
 
-  /// Serializes all recorded events as Chrome trace-event JSON:
+  /// The newest `max_per_thread` events of every log, sorted by time.
+  std::vector<TraceEvent> Snapshot(
+      size_t max_per_thread = std::numeric_limits<size_t>::max()) const;
+
+  /// The newest `max_per_thread` events of every log, plus the thread
+  /// names, as Chrome trace-event JSON (chrome://tracing, Perfetto):
   ///   {"traceEvents":[{"name":...,"ph":"X","pid":0,"tid":...,
   ///                    "ts":...,"dur":...}, ...]}
-  /// Safe to call while other threads are still recording (exports a
-  /// consistent prefix of each buffer).
-  std::string ToChromeTraceJson() const;
+  /// Safe to call while other threads record.
+  std::string ToChromeTraceJson(
+      size_t max_per_thread = std::numeric_limits<size_t>::max()) const;
 
-  /// Writes ToChromeTraceJson() to `path`.
+  /// Writes ToChromeTraceJson() (every retained event) to `path`.
   Status WriteChromeTrace(const std::string& path) const;
 
-  /// Total events currently recorded across all threads.
+  /// Events recorded since Reset(), including overwritten ones.
   int64_t event_count() const;
-  /// Events dropped because a thread exhausted its buffer budget.
+  /// Logs allocated so far: the peak number of recording threads alive
+  /// at once, plus under kFull the exited threads kept for export.
+  size_t log_count() const;
+  /// Events dropped because a thread exhausted its full-trace budget.
   int64_t dropped_count() const {
     return dropped_.load(std::memory_order_relaxed);  // mo: stat counter
   }
 
-  /// Discards all recorded events and thread names. Not thread-safe with
-  /// concurrent recording; meant for tests and between CLI runs.
+  /// Discards all recorded events and thread names and shrinks the logs
+  /// of exited threads back to one chunk. Not safe with concurrent
+  /// recording; meant for tests and between runs.
   void Reset();
 
  private:
-  struct Chunk {
-    TraceEvent events[kChunkCapacity];
-    /// Number of valid entries; written only by the owning thread
-    /// (release), read by the exporter (acquire).
-    std::atomic<size_t> count{0};
+  struct Slot {
+    std::atomic<const char*> name{nullptr};
+    std::atomic<int64_t> ts_us{0};
+    std::atomic<int64_t> value{0};
+    std::atomic<char> ph{0};
   };
-
-  struct ThreadBuffer {
-    uint64_t tid = 0;
-    std::string name SY_GUARDED_BY(mu);
-    /// Guards the chunk list structure (growth + export snapshot), never
-    /// held while writing events. Leaf lock: no other lock may be
-    /// acquired while holding it (docs/LOCK_ORDER.md).
-    mutable sy::Mutex mu;
-    std::vector<std::unique_ptr<Chunk>> chunks SY_GUARDED_BY(mu);
+  struct Chunk {
+    Slot slots[kTailEvents];
+  };
+  struct Log {
+    /// Events written since the log was last cleared. Written by the
+    /// owning thread only (release), read by exporters (acquire).
+    std::atomic<uint64_t> head{0};
+    /// Chunks in use; grown by the owner under kFull, shrunk by Reset().
+    std::atomic<size_t> num_chunks{0};
+    std::atomic<Chunk*> chunks[kMaxChunksPerThread] = {};
+    uint32_t tid = 0;  ///< written under logs_mu_ when a thread takes it
+    std::string name;  ///< guarded by logs_mu_
+  };
+  /// Thread-local owner of the calling thread's log: its destructor, run
+  /// at thread exit, hands the log back to free_logs_.
+  struct LogLease {
+    Log* log = nullptr;
+    LogLease() = default;
+    ~LogLease();
+    LogLease(const LogLease&) = delete;
+    LogLease& operator=(const LogLease&) = delete;
   };
 
   Tracer() = default;
+  Log* LogForThisThread();
+  /// Calls `on_log(log)` and then `on_event(event)` for each of the
+  /// newest `max_per_thread` events of every log, oldest first.
+  template <typename OnLog, typename OnEvent>
+  void ForEachEvent(size_t max_per_thread, OnLog on_log,
+                    OnEvent on_event) const;
 
-  ThreadBuffer* CurrentThreadBuffer();
+  static std::atomic<Retention> retention_;
 
-  static std::atomic<bool> enabled_;
-
-  mutable sy::Mutex registry_mu_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_
-      SY_GUARDED_BY(registry_mu_);
-  uint64_t next_tid_ SY_GUARDED_BY(registry_mu_) = 1;
-  std::atomic<uint64_t> epoch_{0};  ///< bumped by Reset to invalidate TLS
+  /// Leaf lock: guards registration, thread names and export; recording
+  /// takes it only on a thread's first event.
+  mutable sy::Mutex logs_mu_;
+  std::vector<Log*> logs_ SY_GUARDED_BY(logs_mu_);
+  /// Logs of exited threads, waiting for a new thread. Their events stay
+  /// exportable until the log is taken again.
+  std::vector<Log*> free_logs_ SY_GUARDED_BY(logs_mu_);
+  uint32_t next_tid_ SY_GUARDED_BY(logs_mu_) = 1;
+  /// Events recorded into logs before they were taken over.
+  int64_t reused_events_ SY_GUARDED_BY(logs_mu_) = 0;
   std::atomic<int64_t> dropped_{0};
 };
 
 /// RAII span: records a complete event from construction to destruction.
 /// `name` must be a string literal (or otherwise outlive the tracer).
-/// Every span additionally feeds the always-on FlightRecorder ring
-/// (obs/flightrec.h), so the recent past stays reconstructible in
-/// incident bundles even when full tracing is off.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
-    if (Tracer::enabled() || FlightRecorder::enabled()) {
+    if (Tracer::recording()) {
       name_ = name;
       start_us_ = Tracer::NowMicros();
     }
@@ -159,11 +208,7 @@ class TraceSpan {
 
   ~TraceSpan() {
     if (name_ != nullptr) {
-      const int64_t end = Tracer::NowMicros();
-      if (Tracer::enabled()) {
-        Tracer::Get().RecordComplete(name_, start_us_, end - start_us_);
-      }
-      FlightRecorder::RecordSpan(name_, start_us_, end - start_us_);
+      Tracer::Record(name_, 'X', start_us_, Tracer::NowMicros() - start_us_);
     }
   }
 
@@ -180,26 +225,14 @@ class TraceSpan {
   ::serigraph::TraceSpan SG_TRACE_CONCAT(sg_trace_span_, __COUNTER__)(name)
 
 /// Records an already-measured interval (for spans that do not map to a
-/// lexical scope, e.g. token hold times). Feeds the FlightRecorder too.
-#define SG_TRACE_INTERVAL(name, start_us, dur_us)                     \
-  do {                                                                \
-    if (::serigraph::Tracer::enabled()) {                             \
-      ::serigraph::Tracer::Get().RecordComplete((name), (start_us),   \
-                                                (dur_us));            \
-    }                                                                 \
-    ::serigraph::FlightRecorder::RecordSpan((name), (start_us),       \
-                                            (dur_us));                \
-  } while (0)
+/// lexical scope, e.g. token hold times).
+#define SG_TRACE_INTERVAL(name, start_us, dur_us) \
+  ::serigraph::Tracer::Record((name), 'X', (start_us), (dur_us))
 
-/// Records a counter sample on the calling thread's track. Feeds the
-/// FlightRecorder too.
-#define SG_TRACE_COUNTER(name, value)                                 \
-  do {                                                                \
-    if (::serigraph::Tracer::enabled()) {                             \
-      ::serigraph::Tracer::Get().RecordCounter((name), (value));      \
-    }                                                                 \
-    ::serigraph::FlightRecorder::RecordCounter((name), (value));      \
-  } while (0)
+/// Records a counter sample on the calling thread's track.
+#define SG_TRACE_COUNTER(name, value)                                      \
+  ::serigraph::Tracer::Record((name), 'C', ::serigraph::Tracer::NowMicros(), \
+                              (value))
 
 }  // namespace serigraph
 

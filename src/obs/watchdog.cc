@@ -224,7 +224,7 @@ void Watchdog::ReportIncident(const std::string& type,
   // A confirmed deadlock/stall is the canonical incident: flip /healthz
   // unhealthy and write a flight-recorder bundle before the abort path
   // tears the run down (no-op unless an incident dir is configured).
-  FlightRecorder::RecordInstant("watchdog.incident");
+  Tracer::RecordInstant("watchdog.incident");
   TriggerIncidentDump("watchdog-" + type, detail, HealthLevel::kUnhealthy);
 }
 

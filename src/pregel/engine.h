@@ -2269,7 +2269,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     live.recovery_attempts.store(0, std::memory_order_relaxed);
   }
   HealthState::Get().SetReady(true);
-  FlightRecorder::RecordInstant("engine.run_start");
+  Tracer::RecordInstant("engine.run_start");
   if (!options_.live_report_path.empty() && !live_report_.is_open()) {
     live_report_.open(options_.live_report_path,
                       std::ios::out | std::ios::trunc);
@@ -2561,7 +2561,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     TelemetryHub::Get().run().recovery_attempts.store(
         // mo: live telemetry; approximate by design
         recovery_attempts_, std::memory_order_relaxed);
-    FlightRecorder::RecordInstant("engine.recovery_attempt");
+    Tracer::RecordInstant("engine.recovery_attempt");
     AddRecoveryEvent("recovery attempt " +
                      std::to_string(recovery_attempts_) + "/" +
                      std::to_string(options_.fault.max_recovery_attempts));

@@ -1,7 +1,7 @@
-// Tests for the always-on flight recorder and the incident plane:
-// ring overwrite semantics, lock-free concurrent record-vs-snapshot
-// (the TSan guard for the relaxed-atomic slot design), span macros
-// feeding the recorder with the Tracer off, health aggregation,
+// Tests for the always-on flight recorder (the Tracer's tail retention)
+// and the incident plane: ring overwrite semantics, lock-free concurrent
+// record-vs-snapshot (the TSan guard for the relaxed-atomic slot design),
+// span macros feeding the tail with full tracing off, health aggregation,
 // telemetry-hub registry handoff, incident bundle contents and rate
 // limiting, the watchdog-confirmed planted deadlock producing a bundle
 // whose wait-for graph names the cycle, and the fatal-signal handler
@@ -58,8 +58,8 @@ struct TelemetryReset {
   TelemetryReset() { Reset(); }
   ~TelemetryReset() { Reset(); }
   static void Reset() {
-    FlightRecorder::Enable();
-    FlightRecorder::Get().ResetForTest();
+    Tracer::Get().Disable();  // the default: the always-on tail
+    Tracer::Get().Reset();
     HealthState::Get().ResetForTest();
     TelemetryHub::Get().ResetForTest();
     IncidentManager::Get().ResetForTest();
@@ -81,14 +81,14 @@ TEST(BuildInfoTest, FieldsAreNonEmpty) {
 
 TEST(FlightRecorderTest, RecordsSpansCountersAndInstants) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.test.span", 100, 50);
-  FlightRecorder::RecordCounter("fr.test.counter", 42);
-  FlightRecorder::RecordInstant("fr.test.instant");
+  SG_TRACE_INTERVAL("fr.test.span", 100, 50);
+  SG_TRACE_COUNTER("fr.test.counter", 42);
+  Tracer::RecordInstant("fr.test.instant");
 
-  const auto events = FlightRecorder::Get().Snapshot();
+  const auto events = Tracer::Get().Snapshot(Tracer::kTailEvents);
   ASSERT_GE(events.size(), 3u);
   bool saw_span = false, saw_counter = false, saw_instant = false;
-  for (const FlightEvent& e : events) {
+  for (const TraceEvent& e : events) {
     if (std::string(e.name) == "fr.test.span") {
       saw_span = true;
       EXPECT_EQ(e.ph, 'X');
@@ -112,48 +112,40 @@ TEST(FlightRecorderTest, RecordsSpansCountersAndInstants) {
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsTheTail) {
   TelemetryReset reset;
-  const int total = static_cast<int>(FlightRecorder::kRingCapacity) + 257;
+  const int total = static_cast<int>(Tracer::kTailEvents) + 257;
   for (int i = 0; i < total; ++i) {
-    FlightRecorder::RecordSpan("fr.overwrite", /*start_us=*/i, /*dur_us=*/1);
+    SG_TRACE_INTERVAL("fr.overwrite", /*start_us=*/i, /*dur_us=*/1);
   }
-  const auto events = FlightRecorder::Get().Snapshot();
-  // Retention is bounded by the ring; only the newest kRingCapacity
+  const auto events = Tracer::Get().Snapshot();
+  // Retention is bounded by the ring; only the newest kTailEvents
   // events from this thread survive.
   size_t mine = 0;
   int64_t min_ts = INT64_MAX, max_ts = -1;
-  for (const FlightEvent& e : events) {
+  for (const TraceEvent& e : events) {
     if (std::string(e.name) != "fr.overwrite") continue;
     ++mine;
     min_ts = std::min(min_ts, e.ts_us);
     max_ts = std::max(max_ts, e.ts_us);
   }
-  EXPECT_EQ(mine, FlightRecorder::kRingCapacity);
+  EXPECT_EQ(mine, Tracer::kTailEvents);
   EXPECT_EQ(max_ts, total - 1);  // newest retained
-  EXPECT_EQ(min_ts, total - static_cast<int>(FlightRecorder::kRingCapacity));
-}
-
-TEST(FlightRecorderTest, DisableGatesRecording) {
-  TelemetryReset reset;
-  FlightRecorder::Disable();
-  FlightRecorder::RecordInstant("fr.gated");
-  FlightRecorder::Enable();
-  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
-    EXPECT_NE(std::string(e.name), "fr.gated");
-  }
+  EXPECT_EQ(min_ts, total - static_cast<int>(Tracer::kTailEvents));
+  // Overwritten events still count.
+  EXPECT_EQ(Tracer::Get().event_count(), total);
 }
 
 TEST(FlightRecorderTest, SnapshotIsSortedByTimestamp) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.sort", 300, 1);
-  FlightRecorder::RecordSpan("fr.sort", 100, 1);
-  FlightRecorder::RecordSpan("fr.sort", 200, 1);
-  const auto events = FlightRecorder::Get().Snapshot();
+  SG_TRACE_INTERVAL("fr.sort", 300, 1);
+  SG_TRACE_INTERVAL("fr.sort", 100, 1);
+  SG_TRACE_INTERVAL("fr.sort", 200, 1);
+  const auto events = Tracer::Get().Snapshot();
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].ts_us, events[i].ts_us);
   }
 }
 
-// The TSan guard: writers hammer their own rings with relaxed stores
+// The TSan guard: writers hammer their own logs with relaxed stores
 // while a reader concurrently snapshots and renders the tail. The
 // design is lock-free on the write path; any non-atomic slot access
 // shows up under scripts/check.sh --sanitizer tsan.
@@ -164,57 +156,56 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotIsRaceFree) {
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&] {
       for (int i = 0; i < 20000; ++i) {
-        FlightRecorder::RecordSpan("fr.race.span", i, 2);
-        FlightRecorder::RecordCounter("fr.race.counter", i);
-        if (i % 64 == 0) FlightRecorder::RecordInstant("fr.race.instant");
+        SG_TRACE_INTERVAL("fr.race.span", i, 2);
+        SG_TRACE_COUNTER("fr.race.counter", i);
+        if (i % 64 == 0) Tracer::RecordInstant("fr.race.instant");
       }
     });
   }
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      (void)FlightRecorder::Get().Snapshot();
-      (void)FlightRecorder::Get().TailChromeTraceJson();
-      (void)FlightRecorder::Get().event_count();
+      (void)Tracer::Get().Snapshot(Tracer::kTailEvents);
+      (void)Tracer::Get().ToChromeTraceJson(Tracer::kTailEvents);
+      (void)Tracer::Get().event_count();
     }
   });
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_GT(FlightRecorder::Get().event_count(), 0);
+  EXPECT_GT(Tracer::Get().event_count(), 0);
 }
 
 // Engines start fresh worker, comm and pool threads for every run, so
-// a ring per thread ever created grows without bound in a long-lived
-// process. An exiting thread's ring must go to the next new thread.
+// a log per thread ever created grows without bound in a long-lived
+// process. An exiting thread's log must go to the next new thread.
 TEST(FlightRecorderTest, ExitedThreadsHandTheirRingsOn) {
   TelemetryReset reset;
-  FlightRecorder::RecordInstant("fr.reuse.main");
-  const size_t rings_before = FlightRecorder::Get().ring_count();
+  Tracer::RecordInstant("fr.reuse.main");
+  const size_t logs_before = Tracer::Get().log_count();
   constexpr int kThreads = 64;
   for (int i = 0; i < kThreads; ++i) {
-    std::thread([] { FlightRecorder::RecordInstant("fr.reuse.thread"); })
-        .join();
+    std::thread([] { Tracer::RecordInstant("fr.reuse.thread"); }).join();
   }
-  // The first thread may find no free ring; every later one takes the
-  // ring its joined predecessor released.
-  EXPECT_LE(FlightRecorder::Get().ring_count(), rings_before + 1);
+  // The first thread may find no free log; every later one takes the
+  // log its joined predecessor released.
+  EXPECT_LE(Tracer::Get().log_count(), logs_before + 1);
   // Reuse drops old events from the snapshot, not from the total.
-  EXPECT_GE(FlightRecorder::Get().event_count(), kThreads + 1);
-  // The last thread's ring is free but not yet reused: its tail is
-  // still there for an incident bundle.
+  EXPECT_GE(Tracer::Get().event_count(), kThreads + 1);
+  // The last thread's log is free but not yet reused: its tail is still
+  // there for an incident bundle.
   bool saw_exited_thread = false;
-  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
+  for (const TraceEvent& e : Tracer::Get().Snapshot(Tracer::kTailEvents)) {
     if (std::string(e.name) == "fr.reuse.thread") saw_exited_thread = true;
   }
   EXPECT_TRUE(saw_exited_thread);
 }
 
-// --- span macros feed the recorder with the tracer off -------------------
+// --- span macros feed the tail with full tracing off ---------------------
 
 TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
   TelemetryReset reset;
-  Tracer::Get().Disable();
-  const int64_t tracer_events_before = Tracer::Get().event_count();
+  ASSERT_FALSE(Tracer::enabled());
+  const int64_t events_before = Tracer::Get().event_count();
   {
     SG_TRACE_SPAN("fr.span_macro");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -222,10 +213,10 @@ TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
   SG_TRACE_INTERVAL("fr.interval_macro", 10, 5);
   SG_TRACE_COUNTER("fr.counter_macro", 7);
 
-  // The tracer saw nothing; the flight recorder saw everything.
-  EXPECT_EQ(Tracer::Get().event_count(), tracer_events_before);
+  // Each macro wrote one event, into the tail.
+  EXPECT_EQ(Tracer::Get().event_count(), events_before + 3);
   bool saw_span = false, saw_interval = false, saw_counter = false;
-  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
+  for (const TraceEvent& e : Tracer::Get().Snapshot(Tracer::kTailEvents)) {
     const std::string name = e.name;
     if (name == "fr.span_macro") {
       saw_span = true;
@@ -241,10 +232,10 @@ TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
 
 TEST(FlightRecorderTest, TailChromeTraceJsonIsWellFormed) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.json.span", 100, 25);
-  FlightRecorder::RecordCounter("fr.json.counter", 9);
-  FlightRecorder::RecordInstant("fr.json.instant");
-  const std::string json = FlightRecorder::Get().TailChromeTraceJson();
+  SG_TRACE_INTERVAL("fr.json.span", 100, 25);
+  SG_TRACE_COUNTER("fr.json.counter", 9);
+  Tracer::RecordInstant("fr.json.instant");
+  const std::string json = Tracer::Get().ToChromeTraceJson(Tracer::kTailEvents);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos) << json;
   EXPECT_NE(json.find("fr.json.span"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -344,7 +335,7 @@ TEST(IncidentManagerTest, DumpWritesSelfContainedBundle) {
   TelemetryHub::Get().RegisterMetrics(&registry);
   TelemetryHub::Get().SetFaultLogProvider(
       [] { return std::vector<std::string>{"hang w1 fired at s2"}; });
-  FlightRecorder::RecordSpan("fr.bundle.span", 10, 5);
+  SG_TRACE_INTERVAL("fr.bundle.span", 10, 5);
 
   auto result = IncidentManager::Get().Dump("unit-test", "planted incident");
   ASSERT_TRUE(result.ok()) << result.status();
@@ -486,7 +477,7 @@ TEST(FatalSignalDeathTest, SegfaultWritesBundleBeforeDying) {
         IncidentManager::Get().ResetForTest();
         IncidentManager::Get().SetIncidentDir(dir);
         InstallFatalSignalHandlers();
-        FlightRecorder::RecordInstant("fatal.pre_crash");
+        Tracer::RecordInstant("fatal.pre_crash");
         ::raise(SIGSEGV);
       },
       "");

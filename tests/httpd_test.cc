@@ -23,6 +23,7 @@
 #include "common/metrics.h"
 #include "graph/generators.h"
 #include "obs/flightrec.h"
+#include "obs/trace.h"
 #include "pregel/engine.h"
 
 namespace serigraph {
@@ -80,7 +81,7 @@ struct TelemetryReset {
   TelemetryReset() { Reset(); }
   ~TelemetryReset() { Reset(); }
   static void Reset() {
-    FlightRecorder::Enable();
+    Tracer::Get().Disable();  // the default: the always-on tail
     HealthState::Get().ResetForTest();
     TelemetryHub::Get().ResetForTest();
     IncidentManager::Get().ResetForTest();
@@ -285,7 +286,9 @@ TEST(ObsServerTest, ConcurrentScrapeDuringSixteenWorkerEngineRun) {
     Engine<Sssp> engine(&*g, opts);
     auto result = engine.Run(Sssp(0));
     EXPECT_TRUE(result.ok()) << result.status();
-    if (result.ok()) EXPECT_EQ(result->values, ReferenceSssp(*g, 0));
+    if (result.ok()) {
+      EXPECT_EQ(result->values, ReferenceSssp(*g, 0));
+    }
     done.store(true, std::memory_order_release);
   });
 

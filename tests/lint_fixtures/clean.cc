@@ -1,35 +1,37 @@
 // Lint fixture control: idiomatic sy:: locking that must lint clean —
-// scoped critical sections, declared-order nesting (registry before
-// buffer, matching docs/LOCK_ORDER.md), balanced manual Lock/Unlock.
+// scoped critical sections, declared-order nesting (out-buffer before
+// inbox, the engine.out -> net.inbox edge of docs/LOCK_ORDER.md),
+// balanced manual Lock/Unlock.
 #include "common/mutex.h"
 
 namespace lint_fixture {
 
-struct Buffer {
+struct Inbox {
   sy::Mutex mu;
-  int events = 0;
+  int depth = 0;
 };
 
-class GoodExporter {
+struct OutBuffer {
+  sy::Mutex mu;
+  int pending = 0;
+};
+
+class GoodSender {
  public:
-  void Export(Buffer* buffer) {
-    sy::MutexLock registry_lock(&registry_mu_);
+  void Flush(OutBuffer* out, Inbox* inbox) {
+    sy::MutexLock out_lock(&out->mu);
     {
-      sy::MutexLock lock(&buffer->mu);
-      ++buffer->events;
+      sy::MutexLock lock(&inbox->mu);
+      inbox->depth += out->pending;
     }
-    ++generation_;
+    out->pending = 0;
   }
 
-  void ManualPair() {
-    registry_mu_.Lock();
-    ++generation_;
-    registry_mu_.Unlock();
+  void ManualPair(OutBuffer* out) {
+    out->mu.Lock();
+    ++out->pending;
+    out->mu.Unlock();
   }
-
- private:
-  sy::Mutex registry_mu_;
-  int generation_ = 0;
 };
 
 }  // namespace lint_fixture

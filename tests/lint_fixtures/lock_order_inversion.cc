@@ -1,31 +1,26 @@
-// Lint fixture: nested acquisition inverting a declared edge. The
-// hierarchy in docs/LOCK_ORDER.md declares
-//   obs.tracer.registry -> obs.tracer.buffer
-// so taking the registry lock while holding a buffer lock is an
-// inversion. Expected diagnostic: [lock-order] at the inner MutexLock.
+// Lint fixture: nested acquisition inverting the declared edge
+// engine.out -> net.inbox (docs/LOCK_ORDER.md): an out-buffer lock taken
+// while holding an inbox lock. Expected: [lock-order] at the inner lock.
 #include "common/mutex.h"
 
 namespace lint_fixture {
 
-struct Buffer {
+struct Inbox {
   sy::Mutex mu;
-  int events = 0;
+  int depth = 0;
+};
+struct OutBuffer {
+  sy::Mutex mu;
+  int pending = 0;
 };
 
-class Exporter {
- public:
-  void Flush(Buffer* buffer) {
-    sy::MutexLock lock(&buffer->mu);
-    {
-      sy::MutexLock registry_lock(&registry_mu_);  // planted inversion
-      ++generation_;
-    }
-    ++buffer->events;
+void Drain(Inbox* inbox, OutBuffer* out) {
+  sy::MutexLock lock(&inbox->mu);
+  {
+    sy::MutexLock out_lock(&out->mu);  // planted inversion
+    out->pending += inbox->depth;
   }
-
- private:
-  sy::Mutex registry_mu_;
-  int generation_ = 0;
-};
+  inbox->depth = 0;
+}
 
 }  // namespace lint_fixture

@@ -1,12 +1,17 @@
 // Tests for the tracer: span nesting, thread safety of concurrent
-// recording, and round-tripping the exported Chrome trace-event JSON.
+// recording, the three retentions (off, tail, full) of its one event
+// store, and round-tripping the exported Chrome trace-event JSON.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -17,8 +22,8 @@
 namespace serigraph {
 namespace {
 
-/// Enables the process-wide tracer for one test and restores the
-/// disabled, empty state afterwards (the tracer is a singleton).
+/// Keeps a full trace for one test and restores the default tail
+/// retention, empty, afterwards (the tracer is a singleton).
 class TracerFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,11 +38,23 @@ class TracerFixture : public ::testing::Test {
 
 using TraceTest = TracerFixture;
 
-TEST_F(TraceTest, DisabledRecordsNothing) {
-  Tracer::Get().Disable();
-  { SG_TRACE_SPAN("ignored"); }
-  SG_TRACE_INTERVAL("also_ignored", 0, 5);
+// kOff records nothing, not even the always-on tail, and a thread that
+// only ever records under it takes no log, hence no lock.
+TEST_F(TraceTest, OffRecordsNothingAndTakesNoLog) {
+  Tracer::SetRetention(Tracer::Retention::kOff);
+  const size_t logs = Tracer::Get().log_count();
+  const auto record = [] {
+    { SG_TRACE_SPAN("ignored"); }
+    SG_TRACE_INTERVAL("also_ignored", 0, 5);
+    SG_TRACE_COUNTER("ignored_counter", 1);
+    Tracer::RecordInstant("ignored_instant");
+    Tracer::RecordFlow("ignored_flow", 's', 1);
+  };
+  record();
+  std::thread(record).join();
   EXPECT_EQ(Tracer::Get().event_count(), 0);
+  EXPECT_EQ(Tracer::Get().log_count(), logs);
+  EXPECT_TRUE(Tracer::Get().Snapshot().empty());
 }
 
 TEST_F(TraceTest, SpansNestAndAllGetRecorded) {
@@ -69,7 +86,7 @@ TEST_F(TraceTest, IntervalMacroRecordsGivenTimes) {
 
 TEST_F(TraceTest, ConcurrentRecordingLosesNothing) {
   constexpr int kThreads = 8;
-  constexpr int kEventsPerThread = 5000;  // forces chunk growth (4096/chunk)
+  constexpr int kEventsPerThread = 5000;  // forces chunk growth (2048/chunk)
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -246,8 +263,7 @@ TEST_F(TraceTest, ResetClearsEventsAndReusesThreads) {
   EXPECT_EQ(Tracer::Get().event_count(), 1);
   Tracer::Get().Reset();
   EXPECT_EQ(Tracer::Get().event_count(), 0);
-  // The recording thread must re-register after Reset (its cached
-  // buffer pointer is invalidated by the epoch bump).
+  // The recording thread keeps its (now empty) log across Reset.
   { SG_TRACE_SPAN("after"); }
   EXPECT_EQ(Tracer::Get().event_count(), 1);
   const std::string json = Tracer::Get().ToChromeTraceJson();
@@ -308,8 +324,8 @@ TEST(ReportTest, RunReportJsonContainsMetricsAndTimeline) {
 TEST_F(TraceTest, FlowEventsPairSendAndReceiveByIdInExport) {
   const uint64_t id = Tracer::NextFlowId();
   EXPECT_GT(id, 0u);
-  Tracer::Get().RecordFlow("net.batch_flow", 's', id);
-  Tracer::Get().RecordFlow("net.batch_flow", 'f', id);
+  Tracer::RecordFlow("net.batch_flow", 's', id);
+  Tracer::RecordFlow("net.batch_flow", 'f', id);
   EXPECT_EQ(Tracer::Get().event_count(), 2);
   const std::string json = Tracer::Get().ToChromeTraceJson();
   const std::string idstr = "\"id\":" + std::to_string(id);
@@ -322,6 +338,135 @@ TEST_F(TraceTest, FlowEventsPairSendAndReceiveByIdInExport) {
   const size_t first = json.find(idstr);
   ASSERT_NE(first, std::string::npos) << json;
   EXPECT_NE(json.find(idstr, first + 1), std::string::npos) << json;
+}
+
+/// (tid, ts, dur) of every "tail.span" span in a Chrome trace export.
+std::set<std::tuple<int, long long, long long>> ExportedSpans(
+    const std::string& json) {
+  static const std::string kPrefix =
+      "{\"name\":\"tail.span\",\"ph\":\"X\",\"pid\":0,";
+  std::set<std::tuple<int, long long, long long>> spans;
+  for (size_t at = json.find(kPrefix); at != std::string::npos;
+       at = json.find(kPrefix, at + 1)) {
+    int tid = 0;
+    long long ts = 0, dur = 0;
+    EXPECT_EQ(std::sscanf(json.c_str() + at + kPrefix.size(),
+                          "\"tid\":%d,\"ts\":%lld,\"dur\":%lld", &tid, &ts,
+                          &dur),
+              3);
+    spans.emplace(tid, ts, dur);
+  }
+  return spans;
+}
+
+// The incident bundle's tail is the newest slice of the very trace that
+// --trace-out drains: same lanes, same events, flows and names included.
+TEST_F(TraceTest, TailIsTheNewestSliceOfTheFullTrace) {
+  constexpr int kSpans = static_cast<int>(Tracer::kTailEvents) + 300;
+  const uint64_t flow = Tracer::NextFlowId();
+  const auto record = [flow](const char* lane, char flow_ph) {
+    Tracer::Get().SetCurrentThreadName(lane);
+    for (int i = 0; i < kSpans; ++i) {
+      SG_TRACE_INTERVAL("tail.span", 1000 + i, i % 7);
+    }
+    Tracer::RecordFlow("tail.flow", flow_ph, flow);
+  };
+  std::thread sender(record, "tail-sender", 's');
+  std::thread receiver(record, "tail-receiver", 'f');
+  sender.join();
+  receiver.join();
+
+  // Per thread, the tail holds exactly the newest kTailEvents events of
+  // the full trace, field for field.
+  std::map<uint32_t, std::vector<TraceEvent>> full, tail;
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) full[e.tid].push_back(e);
+  for (const TraceEvent& e : Tracer::Get().Snapshot(Tracer::kTailEvents)) {
+    tail[e.tid].push_back(e);
+  }
+  ASSERT_EQ(full.size(), 2u);
+  ASSERT_EQ(tail.size(), 2u);
+  for (const auto& [tid, events] : full) {
+    ASSERT_EQ(events.size(), static_cast<size_t>(kSpans) + 1);
+    const std::vector<TraceEvent>& newest = tail[tid];
+    ASSERT_EQ(newest.size(), Tracer::kTailEvents);
+    const size_t skipped = events.size() - newest.size();
+    for (size_t i = 0; i < newest.size(); ++i) {
+      const TraceEvent& a = newest[i];
+      const TraceEvent& b = events[skipped + i];
+      EXPECT_EQ(std::string(a.name), b.name);
+      EXPECT_EQ(std::make_tuple(a.tid, a.ts_us, a.value, a.ph),
+                std::make_tuple(b.tid, b.ts_us, b.value, b.ph));
+    }
+    EXPECT_STREQ(newest.back().name, "tail.flow");
+  }
+
+  // The exports agree too: every tail span appears in the full export,
+  // each lane keeps its newest kTailEvents - 1 spans, and the flow ends
+  // and lane names survive the cut.
+  const std::string full_json = Tracer::Get().ToChromeTraceJson();
+  const std::string tail_json =
+      Tracer::Get().ToChromeTraceJson(Tracer::kTailEvents);
+  const auto full_spans = ExportedSpans(full_json);
+  const auto tail_spans = ExportedSpans(tail_json);
+  EXPECT_EQ(full_spans.size(), 2u * kSpans);
+  EXPECT_EQ(tail_spans.size(), 2u * (Tracer::kTailEvents - 1));
+  std::map<int, long long> oldest_ts;
+  for (const auto& span : tail_spans) {
+    EXPECT_TRUE(full_spans.count(span));
+    auto [it, fresh] = oldest_ts.emplace(std::get<0>(span), std::get<1>(span));
+    if (!fresh) it->second = std::min(it->second, std::get<1>(span));
+  }
+  for (const auto& [tid, ts] : oldest_ts) {
+    EXPECT_EQ(ts, 1000 + kSpans - static_cast<long long>(Tracer::kTailEvents) +
+                      1)
+        << "lane " << tid;
+  }
+  const std::string id = "\"id\":" + std::to_string(flow);
+  for (const std::string* json : {&full_json, &tail_json}) {
+    EXPECT_NE(json->find("\"ph\":\"s\",\"pid\":0"), std::string::npos);
+    EXPECT_NE(json->find("\"ph\":\"f\",\"pid\":0"), std::string::npos);
+    EXPECT_NE(json->find(id), std::string::npos);
+    EXPECT_NE(json->find(id, json->find(id) + 1), std::string::npos);
+    EXPECT_NE(json->find("\"tail-sender\""), std::string::npos);
+    EXPECT_NE(json->find("\"tail-receiver\""), std::string::npos);
+  }
+}
+
+// Moves between the retentions keep what each promises: a full trace
+// keeps exited threads, Reset() recycles their logs, and Disable() goes
+// back to the tail without losing events from the count.
+TEST_F(TraceTest, RetentionTransitions) {
+  std::thread([] { SG_TRACE_INTERVAL("keep.first", 1, 1); }).join();
+  std::thread([] { SG_TRACE_INTERVAL("keep.second", 2, 1); }).join();
+  std::map<std::string, uint32_t> tid_of;
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) tid_of[e.name] = e.tid;
+  // The second thread did not take over the first one's log.
+  ASSERT_EQ(tid_of.count("keep.first"), 1u);
+  ASSERT_EQ(tid_of.count("keep.second"), 1u);
+  EXPECT_NE(tid_of["keep.first"], tid_of["keep.second"]);
+  EXPECT_EQ(Tracer::Get().event_count(), 2);
+
+  // After Reset() the two exited threads' logs are empty and get reused.
+  Tracer::Get().Reset();
+  const size_t logs = Tracer::Get().log_count();
+  for (int i = 0; i < 2; ++i) {
+    std::thread([] { SG_TRACE_INTERVAL("keep.after_reset", 3, 1); }).join();
+  }
+  EXPECT_EQ(Tracer::Get().log_count(), logs);
+  EXPECT_EQ(Tracer::Get().event_count(), 2);
+
+  // Back to the tail: new events, on this thread and on a new one, still
+  // reach both the tail and the count.
+  Tracer::Get().Disable();
+  { SG_TRACE_SPAN("tail.main"); }
+  std::thread([] { SG_TRACE_COUNTER("tail.thread", 5); }).join();
+  EXPECT_EQ(Tracer::Get().event_count(), 4);
+  std::set<std::string> names;
+  for (const TraceEvent& e : Tracer::Get().Snapshot(Tracer::kTailEvents)) {
+    names.insert(e.name);
+  }
+  EXPECT_TRUE(names.count("tail.main"));
+  EXPECT_TRUE(names.count("tail.thread"));
 }
 
 TEST(FlowIdTest, IdsAreUniqueAcrossThreads) {
