@@ -436,13 +436,18 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target micro_message_store micro_transport micro_chandy_misra \
-    micro_graph
+    micro_graph ablation_pushpull
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"' EXIT
   for bench in micro_message_store micro_transport micro_chandy_misra \
-      micro_graph; do
+      micro_graph ablation_pushpull; do
     out="$SMOKE_DIR/$bench.json"
-    "$BUILD_DIR/bench/$bench" --benchmark_min_time=0.01 --json="$out"
+    if [[ "$bench" == ablation_pushpull ]]; then
+      # Not a Google Benchmark binary: size it down instead (8k vertices).
+      SERIGRAPH_SCALE=0.05 "$BUILD_DIR/bench/$bench" --json="$out"
+    else
+      "$BUILD_DIR/bench/$bench" --benchmark_min_time=0.01 --json="$out"
+    fi
     python3 -c "
 import json, sys
 d = json.load(open('$out'))
@@ -460,7 +465,10 @@ print('$bench: %d cells, json ok' % len(d['cells']))
   # (docs/PERF.md) must actually fire, in both directions. PageRank
   # under plain BSP keeps a dense frontier, so at least one superstep
   # must run in pull mode; SSSP's wavefront goes dense then sparse, so
-  # its run must both pull (>= 1) and push (pulls < supersteps).
+  # its run must both pull (>= 1) and push (pulls < supersteps). And
+  # every superstep's mode must follow the rule from the edge share
+  # recorded at the barrier before it: capture iff share * kPullCostRatio
+  # >= 1000 (superstep 0 is decided from the initial frontier).
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target serigraph_cli
   CLI="$BUILD_DIR/examples/serigraph_cli"
   "$CLI" --algorithm=pagerank --generator=powerlaw --vertices=2000 \
@@ -470,8 +478,23 @@ print('$bench: %d cells, json ok' % len(d['cells']))
     --seed=3 --model=bsp --sync=none --workers=4 \
     --metrics-json="$SMOKE_DIR/pushpull-sssp.json"
   python3 - "$SMOKE_DIR/pushpull-pagerank.json" \
-    "$SMOKE_DIR/pushpull-sssp.json" <<'EOF'
-import json, sys
+    "$SMOKE_DIR/pushpull-sssp.json" src/pregel/model.h <<'EOF'
+import json, re, sys
+
+ratio = int(re.search(r"kPullCostRatio = (\d+);", open(sys.argv[3]).read())[1])
+for path in sys.argv[1:3]:
+    share, mode = {}, {}
+    for row in json.load(open(path))["timeline"]:
+        share[row["superstep"]] = row["frontier_edge_share_milli"]
+        mode[row["superstep"]] = row["pull_mode"]
+    for s in sorted(mode):
+        if s - 1 not in share:
+            continue
+        captured = mode[s] & 1 == 1
+        if captured != (share[s - 1] * ratio >= 1000):
+            sys.exit(f"bench smoke: {path} superstep {s} "
+                     f"{'captured' if captured else 'pushed'} after an edge "
+                     f"share of {share[s - 1]}/1000 (kPullCostRatio {ratio})")
 
 pr = json.load(open(sys.argv[1]))
 pr_pulls = pr["metrics"].get("engine.pull_supersteps", 0)

@@ -29,6 +29,7 @@ struct Sssp {
   static Message Combine(const Message& a, const Message& b) {
     return a < b ? a : b;
   }
+  static constexpr Message kCombineIdentity = kInfiniteDistance;
 
   VertexValue InitialValue(VertexId, const Graph&) const {
     return kInfiniteDistance;

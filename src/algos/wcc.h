@@ -1,6 +1,7 @@
 #ifndef SERIGRAPH_ALGOS_WCC_H_
 #define SERIGRAPH_ALGOS_WCC_H_
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -21,6 +22,8 @@ struct Wcc {
   static Message Combine(const Message& a, const Message& b) {
     return a < b ? a : b;
   }
+  static constexpr Message kCombineIdentity =
+      std::numeric_limits<Message>::max();
 
   /// "Not yet announced" is encoded as -(v+1); a vertex announces its
   /// label on its first execution (not in superstep 0 — token passing

@@ -207,8 +207,8 @@ class Bitmap {
 
 /// Set bits per 1000 of `total_bits`. The engine's frontier is the
 /// union active|pending of each partition's bitmaps; it passes the
-/// global vertex count so per-partition popcounts report global density,
-/// which drives the per-superstep push/pull switch.
+/// global vertex count so per-partition popcounts report global density
+/// (and, for the push/pull switch's edge share, the out-edge count).
 inline int64_t DensityMilli(size_t set_bits, size_t total_bits) {
   if (total_bits == 0) return 0;
   return static_cast<int64_t>((set_bits * 1000) / total_bits);

@@ -101,8 +101,10 @@ void PrintTimeline(std::ostream& os,
     agg.vertices_executed += s.vertices_executed;
     agg.messages_sent += s.messages_sent;
     // Global per-superstep values: every worker's row carries the same
-    // density and mode, so overwriting is a no-op past the first.
+    // density, edge share and mode, so overwriting is a no-op past the
+    // first.
     agg.frontier_density_milli = s.frontier_density_milli;
+    agg.frontier_edge_share_milli = s.frontier_edge_share_milli;
     agg.pull_mode = s.pull_mode;
   }
   // Merge consecutive supersteps into ranges when the run is long.
@@ -111,7 +113,7 @@ void PrintTimeline(std::ostream& os,
 
   TablePrinter table({"superstep", "compute", "barrier wait", "flush wait",
                       "fork wait", "vertices", "messages", "density",
-                      "mode"});
+                      "edge share", "mode"});
   auto mode_name = [](uint8_t mode) {
     switch (mode) {
       case 1:
@@ -135,9 +137,11 @@ void PrintTimeline(std::ostream& os,
       agg.fork_wait_us += per_step[j].fork_wait_us;
       agg.vertices_executed += per_step[j].vertices_executed;
       agg.messages_sent += per_step[j].messages_sent;
-      // A merged range reports its last superstep's density (the trend
-      // endpoint) and "mixed" when the transfer mode changed inside it.
+      // A merged range reports its last superstep's density and edge
+      // share (the trend endpoint) and "mixed" when the transfer mode
+      // changed inside it.
       agg.frontier_density_milli = per_step[j].frontier_density_milli;
+      agg.frontier_edge_share_milli = per_step[j].frontier_edge_share_milli;
       if (j > i && per_step[j].pull_mode != agg.pull_mode) mixed_mode = true;
       agg.pull_mode = per_step[j].pull_mode;
     }
@@ -151,10 +155,13 @@ void PrintTimeline(std::ostream& os,
     char density[16];
     std::snprintf(density, sizeof(density), "%lld/1000",
                   (long long)agg.frontier_density_milli);
+    char edge_share[16];
+    std::snprintf(edge_share, sizeof(edge_share), "%lld/1000",
+                  (long long)agg.frontier_edge_share_milli);
     table.AddRow({label, Micros(agg.compute_us), Micros(agg.barrier_wait_us),
                   Micros(agg.flush_wait_us), Micros(agg.fork_wait_us),
                   TablePrinter::Count(agg.vertices_executed),
-                  TablePrinter::Count(agg.messages_sent), density,
+                  TablePrinter::Count(agg.messages_sent), density, edge_share,
                   mixed_mode ? "mixed" : mode_name(agg.pull_mode)});
   }
   table.Print(os);

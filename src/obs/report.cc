@@ -142,6 +142,10 @@ std::string RunReportToJson(const RunReport& report) {
     json.Key("fork_wait_us").Value(sample.fork_wait_us);
     json.Key("vertices_executed").Value(sample.vertices_executed);
     json.Key("messages_sent").Value(sample.messages_sent);
+    json.Key("frontier_density_milli").Value(sample.frontier_density_milli);
+    json.Key("frontier_edge_share_milli")
+        .Value(sample.frontier_edge_share_milli);
+    json.Key("pull_mode").Value(static_cast<int64_t>(sample.pull_mode));
     if (report.perf_enabled) {
       json.Key("compute_cycles").Value(sample.compute_cycles);
       json.Key("compute_instructions").Value(sample.compute_instructions);

@@ -28,6 +28,13 @@ struct SuperstepSample {
   /// vertices per thousand (computed once in the barrier serial section;
   /// every worker's row for a superstep carries the same value).
   int64_t frontier_density_milli = 0;
+  /// Out-edges of the next superstep's potential broadcasters per
+  /// thousand of |E|: the eligible vertices' out-edges, plus the
+  /// out-edges of this superstep's captured broadcasters standing in for
+  /// their receivers. The push/pull switch's input (the next superstep
+  /// captures iff it reaches 1000 / kPullCostRatio); 0 when the switch
+  /// is off. Global, like the density.
+  int64_t frontier_edge_share_milli = 0;
   /// Message-transfer mode this superstep ran in: 0 = push,
   /// 1 = pull-capture (broadcasts captured, not materialized),
   /// 2 = gather (pulling the previous superstep's captures),

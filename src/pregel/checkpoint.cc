@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "fault/fault.h"
@@ -20,17 +21,28 @@ void RotatePrev(const std::string& path) {
   std::rename(path.c_str(), prev.c_str());
 }
 
-std::vector<uint8_t> EncodeHeader(const CheckpointFrame& frame) {
-  BufferWriter header;
-  header.WriteU32(kMagic);
-  header.WriteU32(kVersion);
-  header.WriteU32(static_cast<uint32_t>(frame.superstep));
-  header.WriteU64(frame.payload.size());
-  header.WriteU32(Crc32(frame.payload.data(), frame.payload.size()));
-  return header.data();
+/// Magic (u32), version (u32), superstep (u32), payload size (u64) and
+/// payload CRC (u32) at fixed offsets, host byte order: what
+/// ReadCheckpoint reads back.
+using Header = std::array<uint8_t, 24>;
+
+/// Encodes the header in place. (Appending it field by field to a
+/// growing BufferWriter made GCC 12's Release build warn
+/// -Wstringop-overflow on the vector insert.)
+Header EncodeHeader(const CheckpointFrame& frame) {
+  const uint32_t superstep = static_cast<uint32_t>(frame.superstep);
+  const uint64_t payload_size = frame.payload.size();
+  const uint32_t crc = Crc32(frame.payload.data(), frame.payload.size());
+  Header header;
+  std::memcpy(header.data(), &kMagic, 4);
+  std::memcpy(header.data() + 4, &kVersion, 4);
+  std::memcpy(header.data() + 8, &superstep, 4);
+  std::memcpy(header.data() + 12, &payload_size, 8);
+  std::memcpy(header.data() + 20, &crc, 4);
+  return header;
 }
 
-Status WriteBytes(const std::string& path, const std::vector<uint8_t>& header,
+Status WriteBytes(const std::string& path, const Header& header,
                   const uint8_t* payload, size_t payload_size) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path);
@@ -73,7 +85,7 @@ Status WriteCheckpoint(const std::string& path,
     return Status::IoError(path +
                            ": injected checkpoint write failure (ENOSPC)");
   }
-  const std::vector<uint8_t> header = EncodeHeader(frame);
+  const Header header = EncodeHeader(frame);
   if (fault == CheckpointFault::kTorn) {
     // Simulate a torn write the filesystem reported as durable: the header
     // (with the full-payload size and CRC) lands, but only half the payload

@@ -59,6 +59,10 @@ namespace serigraph {
 ///   void Compute(Ctx& ctx, std::span<const Message> messages) const;
 /// and optionally a message combiner:
 ///   static Message Combine(const Message& a, const Message& b);
+/// and, with it, the combiner's identity (Combine(kCombineIdentity, m)
+/// == m bit for bit, e.g. 0.0 for a sum, the maximum for a min):
+///   static constexpr Message kCombineIdentity = ...;
+/// A flat Message with both is pull-capable (kPullCapable).
 ///
 /// Compute() sees the Pregel API through Ctx: id(), superstep(), value(),
 /// set_value(), out_neighbors(), SendTo(), SendToAllOutNeighbors(),
@@ -79,13 +83,17 @@ class Engine {
 
   /// True if the program is structurally eligible for the per-superstep
   /// push/pull switch (docs/PERF.md): broadcasts fold through the
-  /// combiner, and the payload can live in a flat per-vertex array.
-  /// Whether pull actually engages is a runtime decision (BSP, no sync
-  /// technique, no recorder — see Run()); a superstep whose barrier
-  /// writes a checkpoint always pushes (DecidePull).
+  /// combiner, the payload can live in a flat per-vertex array, and the
+  /// combiner has an identity, which seeds the gather and fills a silent
+  /// in-neighbor's slot, so a dense gather folds every slot without
+  /// testing which in-neighbors broadcast. Whether pull actually engages
+  /// is a runtime decision (BSP, no sync technique, no recorder — see
+  /// Run()); a superstep whose barrier writes a checkpoint always pushes
+  /// (DecidePull).
   static constexpr bool kPullCapable =
-      kHasCombiner && std::is_trivially_copyable_v<Message> &&
-      std::is_default_constructible_v<Message>;
+      kHasCombiner && std::is_trivially_copyable_v<Message> && requires {
+        { Program::kCombineIdentity } -> std::convertible_to<Message>;
+      };
 
   /// Flat payloads stage every send (SendStaging): remote records reach
   /// the out-buffers in one locked drain per destination, and BSP local
@@ -312,6 +320,9 @@ class Engine {
     int64_t executions = 0;
     int64_t messages = 0;
     int64_t local_sends = 0;
+    /// Out-edges of the vertices this run captured a broadcast of (pull
+    /// switch input, DecidePull).
+    int64_t captured_edges = 0;
   };
 
   /// Holds one unit of pregel.max_concurrent_executions while a
@@ -441,10 +452,13 @@ class Engine {
         // pull it over the in-edge CSR next superstep instead of the
         // engine materializing deg(v) message-store appends now.
         if (engine_->capture_bcast_) {
-          engine_->CaptureBroadcast(vertex_, message);
+          const int64_t degree = engine_->graph_->OutDegree(vertex_);
+          if (engine_->CaptureBroadcast(vertex_, message)) {
+            run_->captured_edges += degree;
+          }
           // Counter parity with the push path: a broadcast still "sends"
           // one message per out-edge as far as the stats are concerned.
-          sent_count_ += engine_->graph_->OutDegree(vertex_);
+          sent_count_ += degree;
           return;
         }
       }
@@ -615,68 +629,107 @@ class Engine {
 
   // --- push/pull switch (docs/PERF.md) --------------------------------
 
-  /// Parks a pull-capture superstep's broadcast in the sender's slot.
-  /// `v` executes exclusively (Pregel semantics), so the value write is
-  /// owner-exclusive plain; only the presence bit needs an atomic RMW
+  /// Parks a pull-capture superstep's broadcast in the sender's slot and
+  /// returns true if it is `v`'s first this superstep. `v` executes
+  /// exclusively (Pregel semantics), so the value write is owner-
+  /// exclusive plain; only the presence bit needs an atomic RMW
   /// (neighbors' bits share words). Readers gather after the barrier.
-  void CaptureBroadcast(VertexId v, const Message& message) {
+  bool CaptureBroadcast(VertexId v, const Message& message) {
+    if constexpr (kPullCapable) {
+      std::vector<Message>& vals = bcast_vals_[bcast_cur_];
+      // A second broadcast in the same superstep folds, exactly like the
+      // two messages would have combined in the store.
+      const bool first = bcast_bits_[bcast_cur_].Set(static_cast<size_t>(v));
+      vals[v] = first ? message : Program::Combine(vals[v], message);
+      return first;
+    }
+    return false;
+  }
+
+  /// Empties the capture side: the slots of its broadcasters return to
+  /// the combiner identity (a dense gather folds every in-neighbor's
+  /// slot) and its presence bits clear. Single-threaded.
+  void ClearCaptureSide() {
     if constexpr (kPullCapable) {
       std::vector<Message>& vals = bcast_vals_[bcast_cur_];
       Bitmap& bits = bcast_bits_[bcast_cur_];
-      if (bits.Test(static_cast<size_t>(v))) {
-        // Second broadcast in the same superstep: fold, exactly like the
-        // two messages would have combined in the store.
-        vals[v] = Program::Combine(vals[v], message);
-      } else {
-        vals[v] = message;
-        bits.Set(static_cast<size_t>(v));
-      }
+      bits.ForEachSetBit(
+          [&](size_t u) { vals[u] = Program::kCombineIdentity; });
+      bits.ClearAll();
     }
   }
 
-  /// Whether `superstep` captures its broadcasts. A superstep whose
-  /// barrier writes a checkpoint pushes, even under kForcePull: no frame
-  /// is then written while captured broadcasts are in flight, so the
-  /// frame format needs no broadcast buffers, and the superstep a
-  /// recovery resumes at never has anything to gather.
-  bool DecidePull(int superstep, int64_t density_milli) const {
+  /// Out-edges of partition `p`'s active or pending vertices.
+  int64_t FrontierOutEdges(PartitionId p) const {
+    const PartitionStore& ps = *stores_[p];
+    const std::vector<VertexId>& vertices =
+        partitioning_.VerticesOfPartition(p);
+    int64_t edges = 0;
+    ps.active_bits.ForEachSetBitUnion(
+        ps.store.pending_bits(),
+        [&](size_t li) { edges += graph_->OutDegree(vertices[li]); });
+    return edges;
+  }
+
+  /// Whether `superstep` captures its broadcasts, from the out-edge share
+  /// (per 1000 of |E|) of its potential broadcasters: a pull costs one
+  /// gather per in-edge of the graph, a push kPullCostRatio gathers' worth
+  /// per out-edge of its broadcasters. A superstep whose barrier writes a
+  /// checkpoint pushes, even under kForcePull: no frame is then written
+  /// while captured broadcasts are in flight, so the frame format needs
+  /// no broadcast buffers, and the superstep a recovery resumes at never
+  /// has anything to gather.
+  bool DecidePull(int superstep, int64_t edge_share_milli) const {
     if (options_.checkpoint_every > 0 &&
         (superstep + 1) % options_.checkpoint_every == 0) {
       return false;
     }
     if (options_.push_pull == PushPullMode::kForcePull) return true;
-    return density_milli >= kPullDensityThresholdMilli;
+    return edge_share_milli * kPullCostRatio >= 1000;
   }
 
-  /// Barrier serial section: record this superstep's frontier density,
-  /// publish its captured broadcasts for next superstep's gather (flip
-  /// the double buffer), and decide whether the NEXT superstep captures.
-  /// `total` is the barrier's eligible-vertex count (broadcasters
-  /// included when this superstep captured).
-  void AdvancePullEpoch(int superstep, int64_t total, bool stop) {
+  /// Records the frontier density and, when the switch is live, the
+  /// out-edge share of `edges` (the DecidePull input).
+  void RecordFrontier(int64_t eligible, int64_t edges) {
     last_density_milli_ = std::min<int64_t>(
-        1000, DensityMilli(static_cast<size_t>(total),
+        1000, DensityMilli(static_cast<size_t>(eligible),
                            static_cast<size_t>(graph_->num_vertices())));
     frontier_density_gauge_->Observe(last_density_milli_);
+    if (!pull_enabled_) return;
+    last_edge_share_milli_ = std::min<int64_t>(
+        1000, DensityMilli(static_cast<size_t>(edges),
+                           static_cast<size_t>(graph_->num_edges())));
+  }
+
+  /// Barrier serial section: record this superstep's frontier, publish
+  /// its captured broadcasts for next superstep's gather (flip the double
+  /// buffer), and decide whether the NEXT superstep captures. `total` is
+  /// the barrier's eligible-vertex count (broadcasters included when this
+  /// superstep captured) and `edges` the out-edges of its active or
+  /// pending vertices; the captured broadcasters' out-edges are added
+  /// here, standing in for their receivers.
+  void AdvancePullEpoch(int superstep, int64_t total, int64_t edges,
+                        bool stop) {
+    const int64_t captured_edges =  // mo: the adds precede B1, B1 publishes
+        captured_edges_.exchange(0, std::memory_order_relaxed);
+    RecordFrontier(total, edges + captured_edges);
     if (!pull_enabled_) return;
     const bool captured = capture_bcast_;
     if (captured) {
       bcast_cur_ ^= 1;
-      bcast_bits_[bcast_cur_].ClearAll();
+      ClearCaptureSide();
     }
     gather_bcast_ = captured;
-    capture_bcast_ = !stop && DecidePull(superstep + 1, last_density_milli_);
+    gather_every_slot_ = captured_edges * 2 >= graph_->num_edges();
+    capture_bcast_ =
+        !stop && DecidePull(superstep + 1, last_edge_share_milli_);
     if (capture_bcast_) pull_supersteps_->Increment();
-    if (capture_bcast_ != captured) {
-      SG_LOG(kDebug) << "push/pull switch: superstep " << superstep + 1
-                     << " mode=" << (capture_bcast_ ? "pull" : "push")
-                     << " (density " << last_density_milli_ << "/1000,"
-                     << " threshold " << kPullDensityThresholdMilli << ")";
-    } else {
-      SG_LOG(kDebug) << "push/pull: superstep " << superstep + 1
-                     << " stays " << (capture_bcast_ ? "pull" : "push")
-                     << " (density " << last_density_milli_ << "/1000)";
-    }
+    SG_LOG(kDebug) << "push/pull: superstep " << superstep + 1
+                   << (capture_bcast_ != captured ? " switches to "
+                                                  : " stays ")
+                   << (capture_bcast_ ? "pull" : "push") << " (edge share "
+                   << last_edge_share_milli_ << "/1000, density "
+                   << last_density_milli_ << "/1000)";
   }
 
   /// Routes one message. `provenance` is what a history recorder needs
@@ -1052,6 +1105,10 @@ class Engine {
     executions_->Add(run.executions);
     messages_sent_->Add(run.messages);
     local_sends_->Add(run.local_sends);
+    if (run.captured_edges != 0) {
+      // mo: per-superstep stat, published by the barrier
+      captured_edges_.fetch_add(run.captured_edges, std::memory_order_relaxed);
+    }
     // mo: per-superstep stat
     worker.ss_executions.fetch_add(run.executions, std::memory_order_relaxed);
     // mo: per-superstep stat
@@ -1079,16 +1136,29 @@ class Engine {
         // vertex's in-neighbors against the flat broadcast array —
         // and merge any store-delivered point sends (SendTo still
         // pushes). The fold is the same Combine the push path would
-        // have applied append-by-append.
+        // have applied append-by-append, seeded with the identity.
         const Bitmap& gbits = bcast_bits_[1 - bcast_cur_];
-        const std::vector<Message>& gvals = bcast_vals_[1 - bcast_cur_];
+        const Message* gvals = bcast_vals_[1 - bcast_cur_].data();
         thread_local std::vector<Message> gather_scratch;
         bool have = false;
-        Message folded{};
-        for (VertexId u : graph_->InNeighbors(v)) {
-          if (!gbits.Test(static_cast<size_t>(u))) continue;
-          folded = have ? Program::Combine(folded, gvals[u]) : gvals[u];
-          have = true;
+        Message folded = Program::kCombineIdentity;
+        if (gather_every_slot_) {
+          // Captures on most in-edges: fold every slot (a silent
+          // in-neighbor's holds the identity), branch-free, and let the
+          // presence bits only decide whether anything arrived. A
+          // per-in-edge branch would mispredict at these shares.
+          for (VertexId u : graph_->InNeighbors(v)) {
+            folded = Program::Combine(folded, gvals[u]);
+            have |= gbits.Test(static_cast<size_t>(u));
+          }
+        } else {
+          // Sparse captures: the branch predicts well, and skipping the
+          // silent in-neighbors saves their slot loads.
+          for (VertexId u : graph_->InNeighbors(v)) {
+            if (!gbits.Test(static_cast<size_t>(u))) continue;
+            folded = Program::Combine(folded, gvals[u]);
+            have = true;
+          }
         }
         if (have) {
           for (const Message& m : messages) {
@@ -1215,9 +1285,8 @@ class Engine {
         PartitionGrant granted(concurrency_);
         // Gather supersteps must probe every vertex: a halted vertex with
         // a broadcasting in-neighbor is eligible, but the broadcast was
-        // captured, not stored, so no pending bit marks it. (Gathering
-        // only happens after a dense superstep, where a full scan is the
-        // right shape anyway.)
+        // captured, not stored, so no pending bit marks it. (A gather
+        // sweeps every in-edge anyway, so a full scan is its shape.)
         WalkCandidates(worker, ps, vertices, /*full_scan=*/gather_bcast_,
                        execute);
         break;
@@ -1322,9 +1391,12 @@ class Engine {
   }
 
   /// Between barriers: publish BSP arrivals (store swap) and count this
-  /// worker's vertices that are still active or have pending messages.
-  int64_t SwapAndCountActive(WorkerState& worker) {
+  /// worker's vertices that are still active or have pending messages
+  /// into active_counts_, and, when the pull switch is live, their
+  /// out-edges into frontier_edges_ (a DecidePull input).
+  void SwapAndCountActive(WorkerState& worker) {
     int64_t active = 0;
+    int64_t edges = 0;
     const bool bsp = options_.model == ComputationModel::kBsp;
     for (PartitionId p : partitioning_.PartitionsOfWorker(worker.id)) {
       PartitionStore& ps = *stores_[p];
@@ -1334,8 +1406,10 @@ class Engine {
       // an O(V) rescan every barrier).
       active +=
           static_cast<int64_t>(ps.active_bits.PopcountUnion(ps.store.pending_bits()));
+      if (pull_enabled_) edges += FrontierOutEdges(p);
     }
-    return active;
+    active_counts_[worker.id] = active;
+    frontier_edges_[worker.id] = edges;
   }
 
   /// BSP store publish for one partition, timed into store.swap_us, plus
@@ -1837,7 +1911,7 @@ class Engine {
       }
       int64_t barrier_us = 0;
       TimedAwait(worker, &barrier_us);  // B1: superstep-s messages delivered
-      active_counts_[worker.id] = SwapAndCountActive(worker);
+      SwapAndCountActive(worker);
       const bool serial =
           TimedAwait(worker, &barrier_us);  // B2: counts published
       if (serial) {
@@ -1849,12 +1923,15 @@ class Engine {
         }
         int64_t total = 0;
         for (int64_t count : active_counts_) total += count;
+        int64_t edges = 0;
+        for (int64_t count : frontier_edges_) edges += count;
         if (capture_bcast_) {
           // Captured broadcasts never reached the stores, so receivers
           // have no pending bits yet; count the broadcasters so the run
           // cannot declare convergence with undelivered pulls. (The
           // count is approximate — broadcasters stand in for their
-          // receivers — but only zero/nonzero drives termination.)
+          // receivers, as their out-edges do in AdvancePullEpoch — but
+          // only zero/nonzero drives termination.)
           total += static_cast<int64_t>(bcast_bits_[bcast_cur_].Popcount());
         }
         supersteps_done_ = superstep + 1;
@@ -1881,7 +1958,7 @@ class Engine {
             !SG_FAULT_POINT("engine.pre_checkpoint", worker.id)) {
           MaybeCheckpoint(superstep + 1);
         }
-        AdvancePullEpoch(superstep, total, stop);
+        AdvancePullEpoch(superstep, total, edges, stop);
         stop_.store(stop, std::memory_order_release);
       }
       TimedAwait(worker, &barrier_us);  // B3: decision visible
@@ -1901,6 +1978,7 @@ class Engine {
       // Written in this barrier's serial section, ordered by B3; every
       // worker's row carries the same global value.
       sample.frontier_density_milli = last_density_milli_;
+      sample.frontier_edge_share_milli = last_edge_share_milli_;
       if (perf_active_) {
         // Drain this worker's per-phase counter deltas: compute lands in
         // the timeline row (and on the worker's trace counter track),
@@ -1959,6 +2037,13 @@ class Engine {
   /// independent of what the current one does, so a switch-back still
   /// drains the buffer).
   bool gather_bcast_ = false;
+  /// The gather folds every in-neighbor's slot instead of testing which
+  /// broadcast: set when the captures it gathers cover at least half the
+  /// graph's in-edges. Written with gather_bcast_.
+  bool gather_every_slot_ = false;
+  /// Out-edges of this superstep's captured broadcasters, folded in once
+  /// per partition run (FoldRun) and drained by AdvancePullEpoch.
+  std::atomic<int64_t> captured_edges_{0};
   /// Double buffer: [bcast_cur_] is this superstep's capture side,
   /// [1 - bcast_cur_] is the gather side holding last superstep's
   /// broadcasts. Flipped in the serial section after a capture.
@@ -1966,8 +2051,12 @@ class Engine {
   std::vector<Message> bcast_vals_[2];
   Bitmap bcast_bits_[2];
   /// Global frontier density (eligible vertices per 1000) recorded each
-  /// barrier; drives the next superstep's mode and the timeline column.
+  /// barrier, for the gauge and the timeline column.
   int64_t last_density_milli_ = 0;
+  /// Out-edge share (per 1000 of |E|) of the next superstep's potential
+  /// broadcasters, recorded each barrier while the switch is live; drives
+  /// the next superstep's mode (DecidePull) and the timeline column.
+  int64_t last_edge_share_milli_ = 0;
 
   /// Null unless the technique passes tokens (set once in Run()).
   std::unique_ptr<BoundaryInfo> boundaries_;
@@ -1984,6 +2073,8 @@ class Engine {
 
   std::unique_ptr<CyclicBarrier> barrier_;
   std::vector<int64_t> active_counts_;
+  /// Per-worker frontier out-edges (SwapAndCountActive), pull runs only.
+  std::vector<int64_t> frontier_edges_;
   double global_aggregates_[kNumAggregatorSlots] = {};
   std::atomic<bool> stop_{false};
   bool sub_stop_ = false;
@@ -2193,7 +2284,8 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   if constexpr (kPullCapable) {
     if (pull_enabled_) {
       for (int side = 0; side < 2; ++side) {
-        bcast_vals_[side].assign(static_cast<size_t>(n), Message{});
+        bcast_vals_[side].assign(static_cast<size_t>(n),
+                                 Program::kCombineIdentity);
         bcast_bits_[side].Reset(static_cast<size_t>(n));
       }
     }
@@ -2308,6 +2400,8 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     sub_stop_ = false;
     // mo: reset pre-spawn; thread start orders it
     sub_executed_any_.store(false, std::memory_order_relaxed);
+    // mo: reset pre-spawn; thread start orders it
+    captured_edges_.store(0, std::memory_order_relaxed);
     converged_ = false;
     aborted_ = false;
 
@@ -2409,23 +2503,28 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     capture_bcast_ = false;
     gather_bcast_ = false;
     if (pull_enabled_) {
-      size_t eligible = 0;
-      for (const auto& ps : stores_) {
-        eligible += ps->active_bits.PopcountUnion(ps->store.pending_bits());
+      int64_t eligible = 0;
+      int64_t edges = 0;
+      for (int p = 0; p < partitioning_.num_partitions(); ++p) {
+        const PartitionStore& ps = *stores_[p];
+        eligible += static_cast<int64_t>(
+            ps.active_bits.PopcountUnion(ps.store.pending_bits()));
+        edges += FrontierOutEdges(p);
       }
-      last_density_milli_ = std::min<int64_t>(
-          1000, DensityMilli(eligible, static_cast<size_t>(n)));
-      frontier_density_gauge_->Observe(last_density_milli_);
-      bcast_bits_[bcast_cur_].ClearAll();
-      capture_bcast_ = DecidePull(start_superstep_, last_density_milli_);
+      RecordFrontier(eligible, edges);
+      ClearCaptureSide();
+      capture_bcast_ = DecidePull(start_superstep_, last_edge_share_milli_);
       if (capture_bcast_) pull_supersteps_->Increment();
       SG_LOG(kDebug) << "push/pull: superstep " << start_superstep_
                      << " mode=" << (capture_bcast_ ? "pull" : "push")
-                     << " (density " << last_density_milli_ << "/1000)";
+                     << " (edge share " << last_edge_share_milli_
+                     << "/1000, density " << last_density_milli_
+                     << "/1000)";
     }
 
     barrier_ = std::make_unique<CyclicBarrier>(num_workers);
     active_counts_.assign(num_workers, 0);
+    frontier_edges_.assign(num_workers, 0);
 
     workers_.clear();
     for (WorkerId w = 0; w < num_workers; ++w) {

@@ -66,23 +66,26 @@ struct FaultToleranceOptions {
 };
 
 /// Per-superstep message transfer strategy for combinable BSP programs
-/// (see docs/PERF.md, "Push vs. pull"). kAuto switches on frontier
-/// density; the force modes pin one strategy for A/B tests. Ignored
-/// (always push) for AP runs, sync techniques, history-recording runs,
-/// and programs without a combiner or with non-trivially-copyable
-/// messages. A superstep whose barrier writes a checkpoint pushes in
-/// every mode.
+/// (see docs/PERF.md, "Push vs. pull"). kAuto switches on the frontier's
+/// out-edge volume (kPullCostRatio); the force modes pin one strategy
+/// for A/B tests. Ignored (always push) for AP runs, sync techniques,
+/// history-recording runs, and programs that are not pull-capable (no
+/// combiner, no combiner identity, or non-trivially-copyable messages).
+/// A superstep whose barrier writes a checkpoint pushes in every mode.
 enum class PushPullMode {
   kAuto,
   kForcePush,
   kForcePull,
 };
 
-/// kAuto's density switch point, in vertices per thousand: pull once
-/// ≥40% of vertices are eligible — dense enough that one sequential
-/// sweep over the in-edge CSR beats materializing the per-vertex message
-/// store.
-inline constexpr int64_t kPullDensityThresholdMilli = 400;
+/// kAuto's cost model (α): pushing one message costs about this many
+/// times as much as gathering one in-edge (about 75 ns against 9 ns per
+/// compute thread, measured by bench/ablation_pushpull). A pull sweeps
+/// every in-edge of the graph once, a push pays per out-edge of its
+/// broadcasters, so the next superstep captures iff its potential
+/// broadcasters' out-edge volume reaches |E| / kPullCostRatio, that is an
+/// edge share of at least 1000 / kPullCostRatio per thousand.
+inline constexpr int64_t kPullCostRatio = 8;
 
 /// Configuration for one engine run.
 struct EngineOptions {
@@ -110,12 +113,14 @@ struct EngineOptions {
   /// message buffer cache, Section 6.1). Set to 1 to disable batching.
   int64_t message_batch_bytes = 64 * 1024;
 
-  /// Push/pull strategy for broadcast-style sends (BSP + combiner only).
-  /// Under kAuto the engine pulls a superstep when the frontier density
-  /// (eligible vertices per 1000) reaches kPullDensityThresholdMilli;
-  /// sparse supersteps keep pushing. Supersteps whose barrier writes a
-  /// checkpoint push in every mode; checkpointed and recovering runs
-  /// otherwise switch like any other run.
+  /// Push/pull strategy for broadcast-style sends (BSP + a combiner with
+  /// an identity only). Under kAuto the engine pulls a superstep when
+  /// the out-edges of its potential broadcasters (the eligible vertices,
+  /// plus the previous superstep's captured broadcasters standing in for
+  /// their receivers) reach |E| / kPullCostRatio; lighter supersteps keep
+  /// pushing. Supersteps whose barrier writes a checkpoint push in every
+  /// mode; checkpointed and recovering runs otherwise switch like any
+  /// other run.
   PushPullMode push_pull = PushPullMode::kAuto;
 
   /// Fixed extra cost charged to every worker every superstep, used by

@@ -254,6 +254,7 @@ struct WakeAndBroadcast {
   using VertexValue = int64_t;
   using Message = int64_t;
   static Message Combine(const Message& a, const Message& b) { return a + b; }
+  static constexpr Message kCombineIdentity = 0;
   VertexValue InitialValue(VertexId, const Graph&) const { return 0; }
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const Message> messages) const {

@@ -212,9 +212,11 @@ struct SelfCounting {
     int64_t sent = 0;
     int64_t sent_local = 0;  // to a vertex on the sender's worker
   };
-  using Message = int64_t;  // combinable and flat: pull-capable
+  using Message = int64_t;  // combinable with an identity and flat:
+                            // pull-capable
 
   static Message Combine(const Message& a, const Message& b) { return a + b; }
+  static constexpr Message kCombineIdentity = 0;
 
   const Partitioning* partitioning = nullptr;
 

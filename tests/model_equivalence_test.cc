@@ -191,8 +191,8 @@ TEST_P(ModelEquivalenceTest, SenderCombiningPageRankAgreesWithinTolerance) {
 }
 
 // The per-superstep push/pull switch (docs/PERF.md) is a pure transfer
-// strategy: forced push, forced pull, and the density-driven auto mode
-// must agree. SSSP and WCC fold through min (order-insensitive and
+// strategy: forced push, forced pull, and the edge-share-driven auto
+// mode must agree. SSSP and WCC fold through min (order-insensitive and
 // exact), so all three modes must be bit-identical.
 TEST_P(ModelEquivalenceTest, PushPullSsspAndWccIdentical) {
   const uint64_t seed = GetParam().seed;
@@ -237,7 +237,7 @@ TEST_P(ModelEquivalenceTest, PushPullSsspAndWccIdentical) {
 // in-neighbor order vs. arrival order), so push and pull agree to a
 // numeric tolerance, not bit-exactly. The auto mode must actually
 // engage pull here: every vertex broadcasts every superstep, so the
-// frontier density sits at 1000/1000.
+// frontier's edge share sits at 1000/1000.
 TEST_P(ModelEquivalenceTest, PushPullPageRankAgreesWithinTolerance) {
   const uint64_t seed = GetParam().seed;
   Graph g = RandomGraph(seed);
