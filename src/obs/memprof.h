@@ -44,18 +44,19 @@ class MemorySampler {
 
 /// Per-superstep memory/arena sample, taken in the engine's serial
 /// section (between supersteps) when EngineOptions::perf_counters is
-/// set. Arena fields aggregate MessageStore::Stats() across stores.
+/// set. The arena_*/max_chain_len fields (named after their store.*
+/// metric keys) aggregate MessageStore::Stats() across stores.
 struct MemSample {
   int superstep = 0;
   int64_t rss_kb = 0;
   int64_t peak_rss_kb = 0;
-  /// Allocated arena chunks across all message-store shards.
+  /// Message-store inbox buffers holding allocated capacity.
   int64_t arena_chunks = 0;
-  /// Arena node slots currently holding a live message.
+  /// Messages queued in the inboxes.
   int64_t arena_nodes_in_use = 0;
-  /// Total node slots backed by allocated chunks.
+  /// Messages the inbox buffers hold without reallocating.
   int64_t arena_node_capacity = 0;
-  /// Longest per-vertex message chain seen across shards.
+  /// Longest per-vertex inbox seen across shards.
   int64_t max_chain_len = 0;
 };
 

@@ -1125,7 +1125,7 @@ class Engine {
     if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
     if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
     // BSP consumes a zero-copy span of the partition's flat buffer (no
-    // lock); AP detaches the arrival chain into this per-thread scratch.
+    // lock); AP swaps the vertex's inbox with this per-thread scratch.
     thread_local std::vector<Message> scratch;
     const int32_t li = local_index_[v];
     std::span<const Message> messages = ps.store.Consume(li, &scratch);

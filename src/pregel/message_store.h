@@ -1,8 +1,11 @@
 #ifndef SERIGRAPH_PREGEL_MESSAGE_STORE_H_
 #define SERIGRAPH_PREGEL_MESSAGE_STORE_H_
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -17,17 +20,18 @@
 
 namespace serigraph {
 
-/// Arena-occupancy snapshot of one MessageStore (or a sum over stores),
+/// Inbox-occupancy snapshot of one MessageStore (or a sum over stores),
 /// feeding the per-superstep MemSample rows and store.* gauges when
-/// EngineOptions::perf_counters is on (docs/PROFILING.md).
+/// EngineOptions::perf_counters is on (docs/PROFILING.md). The field
+/// names follow the store.arena_* / store.max_chain_len metric keys.
 struct MessageStoreArenaStats {
-  /// Allocated arena chunks across shards (retained across supersteps).
+  /// Inbox buffers holding allocated capacity (retained across supersteps).
   int64_t chunks = 0;
-  /// Node slots backed by allocated chunks (chunks * nodes-per-chunk).
+  /// Messages those buffers hold without reallocating.
   int64_t node_capacity = 0;
-  /// Nodes currently holding a live (arrival-side) message.
+  /// Messages queued in the inboxes (dense mode: live accumulators).
   int64_t nodes_in_use = 0;
-  /// Longest per-vertex arrival chain.
+  /// Longest per-vertex inbox.
   int64_t max_chain_len = 0;
 
   void Accumulate(const MessageStoreArenaStats& other) {
@@ -41,43 +45,44 @@ struct MessageStoreArenaStats {
 };
 
 /// Shard count for a partition of `num_slots` vertices: a power of two,
-/// sized so a shard covers a few dozen vertices but never exceeding 16
-/// shards (the per-shard mutexes are the footprint, and batch delivery
-/// pays one lock acquisition per shard touched).
+/// about one shard per 32 vertices but never more than 16 shards (the
+/// per-shard mutexes are the footprint, and batch delivery pays one
+/// lock acquisition per shard touched).
 int PickMessageStoreShards(int64_t num_slots);
 
-/// Sharded flat message store for one partition (GPOP-style message
-/// bins instead of one heap vector per vertex).
+/// Sharded message store for one partition.
 ///
-/// Arrivals go into per-shard chunked arenas: shard `li & mask` holds
-/// vertex `li`'s chain of fixed-size nodes, so concurrent senders to
-/// one partition contend only per stripe, and the arena's chunks are
-/// reused across supersteps (no steady-state allocation).
+/// Arrivals go into per-vertex inboxes: vertex `li` owns one contiguous
+/// `std::vector<M>` guarded by the lock of shard `li & mask`, so
+/// concurrent senders to one partition contend only per stripe. Inboxes
+/// are cleared, never freed, so their buffers keep (and trade) capacity
+/// across supersteps: once capacities settle, the store stops
+/// allocating.
 ///
 /// Two consumption modes:
 ///  - double-buffered (BSP): arrivals are invisible until Swap(), which
-///    drains every chain (merged with any unconsumed leftovers) into a
-///    single contiguous `flat_` buffer with per-vertex [off,len) slots.
+///    appends every inbox behind any unconsumed leftover slot content in
+///    a single contiguous `flat_` buffer with per-vertex [off,len) slots.
 ///    Consume() then returns a zero-copy span and takes NO lock — the
 ///    flat side is written only inside Swap() (barrier serial phase,
 ///    one thread per partition) and each slot is consumed by exactly
 ///    one executing thread, which is the engine's existing per-vertex
 ///    execution exclusivity. That phase-ownership argument is why
 ///    `flat_`/`slots_` carry no mutex.
-///  - direct (AP): chains are the visible store; Consume() detaches the
-///    chain under its shard lock and copies into a caller-provided
-///    scratch vector.
+///  - direct (AP): the inboxes are the visible store; Consume() swaps
+///    the inbox with the caller's cleared scratch vector under the shard
+///    lock, so the span it returns is the inbox's own buffer (nothing is
+///    copied) and the scratch's old buffer becomes the empty inbox.
 ///
 /// When the store has a combiner AND the message is trivially copyable,
 /// the store runs in *dense accumulator* mode instead (PR 9): each slot
 /// is a single in-place accumulator in a flat per-partition array, with
 /// presence tracked in a word-packed bitmap. Appends fold straight into
-/// the array (no arena nodes, no chains, no pointer chasing), Consume
-/// returns a one-element span over the accumulator, and Swap is a
-/// vector/bitmap swap plus a leftover merge — the cache-friendly layout
-/// GPOP calls partition bins. The chain modes never combine: a combiner
-/// needs a trivially copyable payload (checked in Init) and so always
-/// selects dense mode.
+/// the array (no inboxes are allocated), Consume returns a one-element
+/// span over the accumulator, and Swap is a vector/bitmap swap plus a
+/// leftover merge — the cache-friendly layout GPOP calls partition
+/// bins. The inbox modes never combine: a combiner needs a trivially
+/// copyable payload (checked in Init) and so always selects dense mode.
 ///
 /// `pending()` (vertices with visible messages) is an atomic so
 /// eligibility checks never touch a lock, and `pending_bits()` exposes
@@ -94,8 +99,9 @@ class MessageStore {
 
   /// Sizes the store for `num_slots` local vertices. `double_buffered`
   /// selects BSP semantics (arrivals visible only after Swap()).
-  /// `combine` may be null; `shard_hint` (power of two, <= 64) overrides
-  /// the default shard count — tests and benches use it.
+  /// `combine` may be null; `shard_hint` (<= 64, rounded up to a power
+  /// of two) overrides the default shard count — tests and benches use
+  /// it.
   void Init(int32_t num_slots, bool double_buffered, CombineFn combine,
             int shard_hint = 0) {
     num_slots_ = num_slots;
@@ -104,19 +110,21 @@ class MessageStore {
     combine_ = combine;
     dense_ = combine != nullptr;
     int want = shard_hint > 0 ? shard_hint : PickMessageStoreShards(num_slots);
+    // AppendBatch's per-shard tables hold kMaxShards entries; a hint
+    // within it also resolves (rounded up) to at most kMaxShards.
+    SG_CHECK_LE(want, kMaxShards);
     shard_bits_ = 0;
     while ((1 << shard_bits_) < want) ++shard_bits_;
     shard_mask_ = (1 << shard_bits_) - 1;
     shards_.clear();
     for (int s = 0; s < (1 << shard_bits_); ++s) {
       auto shard = std::make_unique<Shard>();
-      const int32_t dense =
-          num_slots > s ? ((num_slots - 1 - s) >> shard_bits_) + 1 : 0;
-      {
+      if (!dense_) {
         // Init runs before the store is shared; the lock is uncontended
         // and keeps the annotations honest.
         sy::MutexLock lock(&shard->mu);
-        shard->chains.assign(dense, Chain{});
+        shard->inboxes.resize(
+            num_slots > s ? ((num_slots - 1 - s) >> shard_bits_) + 1 : 0);
       }
       shards_.push_back(std::move(shard));
     }
@@ -161,20 +169,30 @@ class MessageStore {
     AppendLocked(shard, li, msg);
   }
 
-  /// Applies a decoded remote batch: pre-grouped by shard so each shard
-  /// lock is taken at most once for the whole batch. Message payloads
-  /// are moved out of `records`.
+  /// Applies a decoded remote batch. One counting pass groups the
+  /// records by shard, keeping batch order within a shard (so every
+  /// vertex keeps its arrival order); each touched shard's lock is then
+  /// taken once, in ascending shard order. Message payloads are moved
+  /// out of `records`.
   void AppendBatch(std::span<std::pair<int32_t, M>> records) {
-    uint64_t present = 0;
-    for (const auto& rec : records) {
-      present |= uint64_t{1} << (rec.first & shard_mask_);
+    // start[s]..start[s + 1] is shard s's range of `order`.
+    std::array<uint32_t, kMaxShards + 1> start{};
+    for (const auto& rec : records) ++start[(rec.first & shard_mask_) + 1];
+    for (int s = 0; s <= shard_mask_; ++s) start[s + 1] += start[s];
+    std::array<uint32_t, kMaxShards + 1> next = start;
+    // Per thread: comm and compute threads may batch into one store at
+    // the same time.
+    thread_local std::vector<uint32_t> order;
+    order.resize(records.size());
+    for (uint32_t i = 0; i < records.size(); ++i) {
+      order[next[records[i].first & shard_mask_]++] = i;
     }
     for (int s = 0; s <= shard_mask_; ++s) {
-      if ((present & (uint64_t{1} << s)) == 0) continue;
+      if (start[s] == start[s + 1]) continue;
       Shard& shard = *shards_[s];
       sy::MutexLock lock(&shard.mu);
-      for (auto& rec : records) {
-        if ((rec.first & shard_mask_) != s) continue;
+      for (uint32_t k = start[s]; k < start[s + 1]; ++k) {
+        auto& rec = records[order[k]];
         AppendLocked(shard, rec.first, std::move(rec.second));
       }
     }
@@ -189,13 +207,13 @@ class MessageStore {
     if (double_buffered_) return slots_[li].len != 0;
     Shard& shard = *shards_[li & shard_mask_];
     sy::MutexLock lock(&shard.mu);
-    return shard.chains[li >> shard_bits_].count != 0;
+    return !shard.inboxes[li >> shard_bits_].empty();
   }
 
   /// BSP publish, run at the barrier with no concurrent append/consume
-  /// on this partition: drains every arrival chain, merges it behind any
-  /// unconsumed leftover slot content, and rebuilds the contiguous flat
-  /// buffer. Arena chunks and flat capacity are retained for reuse.
+  /// on this partition: appends every inbox behind any unconsumed
+  /// leftover slot content, rebuilding the contiguous flat buffer. Inbox
+  /// and flat capacity are retained for reuse.
   void Swap() {
     SG_DCHECK(double_buffered_);
     if (dense_) {
@@ -206,8 +224,8 @@ class MessageStore {
         sy::MutexLock lock(&shards_[s]->mu);
       }
       // Merge unconsumed leftovers into the arriving side (leftover
-      // first, matching the chain-mode fold order), then publish by
-      // swapping the accumulator array and presence bitmap wholesale.
+      // first, matching the inbox-mode order), then publish by swapping
+      // the accumulator array and presence bitmap wholesale.
       pending_bits_.ForEachSetBit([&](size_t li) {
         if (in_bits_.Test(li)) {
           acc_in_[li] = combine_(acc_[li], acc_in_[li]);
@@ -231,30 +249,25 @@ class MessageStore {
     for (int s = 0; s <= shard_mask_; ++s) {
       Shard& shard = *shards_[s];
       sy::MutexLock lock(&shard.mu);
-      const int32_t dense = static_cast<int32_t>(shard.chains.size());
-      for (int32_t d = 0; d < dense; ++d) {
-        Chain& chain = shard.chains[d];
+      const int32_t n = static_cast<int32_t>(shard.inboxes.size());
+      for (int32_t d = 0; d < n; ++d) {
+        std::vector<M>& inbox = shard.inboxes[d];
         const int32_t li = (d << shard_bits_) | s;
         const Slot leftover = slots_[li];
-        if (leftover.len == 0 && chain.count == 0) continue;
+        if (leftover.len == 0 && inbox.empty()) continue;
         const uint32_t off = static_cast<uint32_t>(flat_spare_.size());
-        for (uint32_t k = 0; k < leftover.len; ++k) {
-          flat_spare_.push_back(std::move(flat_[leftover.off + k]));
-        }
-        for (int32_t node = chain.head; node >= 0;) {
-          Node& n = shard.NodeAt(node);
-          flat_spare_.push_back(std::move(n.msg));
-          node = n.next;
-        }
+        M* const left = flat_.data() + leftover.off;
+        M* const arrived = inbox.data();
+        flat_spare_.insert(flat_spare_.end(), std::make_move_iterator(left),
+                           std::make_move_iterator(left + leftover.len));
+        flat_spare_.insert(flat_spare_.end(), std::make_move_iterator(arrived),
+                           std::make_move_iterator(arrived + inbox.size()));
+        inbox.clear();
         slots_spare_[li] =
             Slot{off, static_cast<uint32_t>(flat_spare_.size()) - off};
         pending_bits_.SetSerial(li);
         ++pend;
-        chain = Chain{};
       }
-      // Every chain is drained: recycle the whole arena in O(1).
-      shard.free_head = -1;
-      shard.bump = 0;
     }
     flat_.swap(flat_spare_);
     slots_.swap(slots_spare_);
@@ -264,8 +277,8 @@ class MessageStore {
 
   /// Consumes `li`'s messages. Double-buffered: returns a zero-copy span
   /// into the flat buffer (valid until the next Swap) without locking.
-  /// Direct mode: detaches the chain under the shard lock, moves the
-  /// messages into `*scratch`, and returns a span over it.
+  /// Direct mode: clears `*scratch` and swaps it with the inbox under
+  /// the shard lock, returning a span over the inbox's own buffer.
   std::span<const M> Consume(int32_t li, std::vector<M>* scratch) {
     if (dense_) {
       if (double_buffered_) {
@@ -302,17 +315,9 @@ class MessageStore {
     scratch->clear();
     {
       sy::MutexLock lock(&shard.mu);
-      Chain& chain = shard.chains[li >> shard_bits_];
-      if (chain.count == 0) return {};
-      for (int32_t node = chain.head; node >= 0;) {
-        Node& n = shard.NodeAt(node);
-        scratch->push_back(std::move(n.msg));
-        const int32_t next = n.next;
-        n.next = shard.free_head;
-        shard.free_head = node;
-        node = next;
-      }
-      chain = Chain{};
+      std::vector<M>& inbox = shard.inboxes[li >> shard_bits_];
+      if (inbox.empty()) return {};
+      inbox.swap(*scratch);
       pending_bits_.Clear(li);
       // mo: pending gauge; barrier orders the data
       pending_.fetch_sub(1, std::memory_order_relaxed);
@@ -327,7 +332,7 @@ class MessageStore {
     if (double_buffered_) return slots_[li].len;
     Shard& shard = *shards_[li & shard_mask_];
     sy::MutexLock lock(&shard.mu);
-    return shard.chains[li >> shard_bits_].count;
+    return static_cast<int64_t>(shard.inboxes[li >> shard_bits_].size());
   }
 
   template <typename Fn>
@@ -343,68 +348,38 @@ class MessageStore {
     }
     Shard& shard = *shards_[li & shard_mask_];
     sy::MutexLock lock(&shard.mu);
-    const Chain& chain = shard.chains[li >> shard_bits_];
-    for (int32_t node = chain.head; node >= 0;) {
-      const Node& n = shard.NodeAt(node);
-      fn(n.msg);
-      node = n.next;
-    }
+    for (const M& m : shard.inboxes[li >> shard_bits_]) fn(m);
   }
 
-  /// Total arena chunks across shards (tests assert reuse: the count
-  /// must plateau across supersteps of comparable message volume).
-  /// Always 0 in dense mode — there is no arena.
-  int64_t arena_chunks() {
-    int64_t total = 0;
-    for (int s = 0; s <= shard_mask_; ++s) {
-      Shard& shard = *shards_[s];
-      sy::MutexLock lock(&shard.mu);
-      total += static_cast<int64_t>(shard.chunks.size());
-    }
-    return total;
-  }
-
-  /// Arena-occupancy snapshot across shards, one shard lock at a time.
-  /// Chain counts equal live node counts. Safe to call concurrently
-  /// with appends; the snapshot is per-shard consistent.
+  /// Inbox-occupancy snapshot across shards, one shard lock at a time.
+  /// Safe to call concurrently with appends; the snapshot is per-shard
+  /// consistent.
   MessageStoreArenaStats Stats() {
     MessageStoreArenaStats stats;
-    if (dense_) {
-      // No arena: report the live accumulator count so the occupancy
-      // gauges stay meaningful, with chain length capped at 1 by mode.
-      stats.nodes_in_use = pending_bits_.Popcount();
-      stats.max_chain_len = stats.nodes_in_use > 0 ? 1 : 0;
-      return stats;
-    }
     for (int s = 0; s <= shard_mask_; ++s) {
       Shard& shard = *shards_[s];
       sy::MutexLock lock(&shard.mu);
-      stats.chunks += static_cast<int64_t>(shard.chunks.size());
-      stats.node_capacity +=
-          static_cast<int64_t>(shard.chunks.size()) * kChunkSize;
-      for (const Chain& chain : shard.chains) {
-        stats.nodes_in_use += chain.count;
-        if (chain.count > stats.max_chain_len) {
-          stats.max_chain_len = chain.count;
-        }
+      for (const std::vector<M>& inbox : shard.inboxes) {
+        if (inbox.capacity() == 0) continue;
+        const int64_t len = static_cast<int64_t>(inbox.size());
+        ++stats.chunks;
+        stats.node_capacity += static_cast<int64_t>(inbox.capacity());
+        stats.nodes_in_use += len;
+        stats.max_chain_len = std::max(stats.max_chain_len, len);
       }
+    }
+    if (dense_) {
+      // No inboxes: report the live accumulator count so the occupancy
+      // gauges stay meaningful, with inbox length capped at 1 by mode.
+      stats.nodes_in_use = pending_bits_.Popcount();
+      stats.max_chain_len = stats.nodes_in_use > 0 ? 1 : 0;
     }
     return stats;
   }
 
  private:
-  static constexpr int kChunkBits = 8;
-  static constexpr int32_t kChunkSize = 1 << kChunkBits;  // nodes per chunk
+  static constexpr int kMaxShards = 64;
 
-  struct Node {
-    M msg{};
-    int32_t next = -1;
-  };
-  struct Chain {
-    int32_t head = -1;
-    int32_t tail = -1;
-    uint32_t count = 0;
-  };
   struct Slot {
     uint32_t off = 0;
     uint32_t len = 0;
@@ -412,28 +387,9 @@ class MessageStore {
 
   struct Shard {
     sy::Mutex mu;
-    /// Chunked node arena: stable addresses, chunks reused forever.
-    std::vector<std::unique_ptr<Node[]>> chunks SY_GUARDED_BY(mu);
-    int32_t free_head SY_GUARDED_BY(mu) = -1;
-    /// First never-used node index (within [0, chunks*kChunkSize)).
-    int32_t bump SY_GUARDED_BY(mu) = 0;
-    /// Per dense-vertex arrival chain (dense index = li >> shard_bits).
-    std::vector<Chain> chains SY_GUARDED_BY(mu);
-
-    Node& NodeAt(int32_t idx) SY_REQUIRES(mu) {
-      return chunks[idx >> kChunkBits][idx & (kChunkSize - 1)];
-    }
-    int32_t AllocNode() SY_REQUIRES(mu) {
-      if (free_head >= 0) {
-        const int32_t idx = free_head;
-        free_head = NodeAt(idx).next;
-        return idx;
-      }
-      if (bump == static_cast<int32_t>(chunks.size()) * kChunkSize) {
-        chunks.push_back(std::make_unique<Node[]>(kChunkSize));
-      }
-      return bump++;
-    }
+    /// Per-vertex inboxes of this stripe (index li >> shard_bits); none
+    /// in dense mode.
+    std::vector<std::vector<M>> inboxes SY_GUARDED_BY(mu);
   };
 
   void AppendLocked(Shard& shard, int32_t li, M msg) SY_REQUIRES(shard.mu) {
@@ -454,18 +410,9 @@ class MessageStore {
       }
       return;
     }
-    Chain& chain = shard.chains[li >> shard_bits_];
-    const int32_t idx = shard.AllocNode();
-    Node& node = shard.NodeAt(idx);
-    node.msg = std::move(msg);
-    node.next = -1;
-    if (chain.tail >= 0) {
-      shard.NodeAt(chain.tail).next = idx;
-    } else {
-      chain.head = idx;
-    }
-    chain.tail = idx;
-    if (++chain.count == 1 && !double_buffered_) {
+    std::vector<M>& inbox = shard.inboxes[li >> shard_bits_];
+    inbox.push_back(std::move(msg));
+    if (inbox.size() == 1 && !double_buffered_) {
       pending_bits_.Set(li);
       // mo: pending gauge; barrier orders the data
       pending_.fetch_add(1, std::memory_order_relaxed);

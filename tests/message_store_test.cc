@@ -1,12 +1,14 @@
-// Unit tests for the sharded flat message store: shard striping, BSP
-// swap visibility and leftover merging, arena reuse across supersteps,
-// combiner folding, batch delivery, and concurrent append (the TSan run
-// exercises the shard locking for real).
+// Unit tests for the sharded message store: shard striping, BSP swap
+// visibility and leftover merging, inbox capacity reuse across
+// supersteps, combiner folding, batch delivery order, and concurrent
+// append (the TSan run exercises the shard locking for real).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -54,7 +56,7 @@ TEST(MessageStoreTest, EmptyOneAndManyMessageVertices) {
     EXPECT_EQ(Drain(store, 3), std::vector<int64_t>{42});
     std::vector<int64_t> many = Drain(store, 7);
     ASSERT_EQ(many.size(), 100u);
-    // FIFO per vertex, across chunk boundaries.
+    // FIFO per vertex, across inbox growth.
     for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(many[i], i);
     EXPECT_EQ(store.pending(), 0);
     EXPECT_FALSE(store.HasMessages(7));
@@ -115,6 +117,8 @@ TEST(MessageStoreTest, CombinerFoldsOnAppendAndAcrossSwapLeftovers) {
   store.Append(1, 3);  // folds into the unconsumed leftover at the next swap
   store.Swap();
   EXPECT_EQ(Drain(store, 1), std::vector<int64_t>{3});
+  // Folding happens in the accumulators; no inbox is ever allocated.
+  EXPECT_EQ(store.Stats().chunks, 0);
 }
 
 TEST(MessageStoreTest, ApDirectModeIsImmediatelyVisible) {
@@ -153,22 +157,122 @@ TEST(MessageStoreTest, AppendBatchMatchesIndividualAppends) {
   }
 }
 
-TEST(MessageStoreTest, ArenaChunksPlateauAcrossSupersteps) {
-  MessageStore<int64_t> store;
-  store.Init(256, /*double_buffered=*/true, nullptr, /*shard_hint=*/4);
-  std::vector<int64_t> scratch;
-  int64_t after_first = 0;
-  for (int step = 0; step < 8; ++step) {
-    for (int32_t li = 0; li < 256; ++li) {
-      for (int m = 0; m < 10; ++m) store.Append(li, li + m);
+TEST(MessageStoreTest, AppendBatchKeepsVertexOrderAcrossShards) {
+  // 64 vertices over 16 shards (4 per shard); the records cycle through
+  // all 16 shards in descending shard order, so grouping by shard
+  // reorders nearly every neighboring pair — but never two records of
+  // one vertex.
+  constexpr int32_t kVertices = 64;
+  for (bool bsp : {true, false}) {
+    MessageStore<int64_t> store;
+    store.Init(kVertices, bsp, nullptr, /*shard_hint=*/16);
+    ASSERT_EQ(store.num_shards(), 16);
+    std::vector<std::pair<int32_t, int64_t>> records;
+    std::vector<std::vector<int64_t>> expected(kVertices);
+    for (int64_t i = 0; i < 16 * 40; ++i) {
+      const int32_t shard = 15 - static_cast<int32_t>(i % 16);
+      const int32_t li = shard + 16 * static_cast<int32_t>((i / 16) % 4);
+      records.emplace_back(li, i);
+      expected[li].push_back(i);
     }
-    store.Swap();
-    for (int32_t li = 0; li < 256; ++li) store.Consume(li, &scratch);
-    if (step == 0) after_first = store.arena_chunks();
+    store.AppendBatch(std::span(records));
+    if (bsp) store.Swap();
+    for (int32_t li = 0; li < kVertices; ++li) {
+      EXPECT_EQ(Drain(store, li), expected[li]) << "bsp=" << bsp << " li=" << li;
+    }
   }
-  EXPECT_GT(after_first, 0);
-  // Steady-state: identical volume per superstep allocates no new chunks.
-  EXPECT_EQ(store.arena_chunks(), after_first);
+}
+
+TEST(MessageStoreTest, ApInterleavedSendersKeepSendOrder) {
+  // Two senders append interleaved runs to the same vertices while a
+  // consumer drains them: every consume must return each sender's
+  // messages in send order, with none lost or duplicated.
+  constexpr int32_t kVertices = 32;
+  constexpr int kRuns = 4000;
+  constexpr int kRunLen = 3;
+  MessageStore<int64_t> store;
+  store.Init(kVertices, /*double_buffered=*/false, nullptr, /*shard_hint=*/4);
+  std::atomic<int> done{0};
+  std::vector<std::thread> senders;
+  for (int64_t t = 0; t < 2; ++t) {
+    senders.emplace_back([&store, &done, t] {
+      std::vector<int64_t> seq(kVertices, 0);
+      for (int run = 0; run < kRuns; ++run) {
+        const int32_t li = static_cast<int32_t>((run * 7 + t) % kVertices);
+        for (int k = 0; k < kRunLen; ++k) {
+          store.Append(li, (t << 32) | seq[li]++);
+        }
+      }
+      done.fetch_add(1);
+    });
+  }
+  // next[t][li]: the sequence number sender t's next message must carry.
+  std::vector<std::vector<int64_t>> next(2, std::vector<int64_t>(kVertices));
+  std::vector<int64_t> scratch;
+  auto drain_all = [&] {
+    for (int32_t li = 0; li < kVertices; ++li) {
+      for (int64_t m : store.Consume(li, &scratch)) {
+        const int64_t t = m >> 32;
+        ASSERT_EQ(m & 0xffffffff, next[t][li]) << "sender " << t << " li=" << li;
+        ++next[t][li];
+      }
+    }
+  };
+  while (done.load() < 2) drain_all();
+  for (auto& th : senders) th.join();
+  drain_all();
+  int64_t total = 0;
+  for (const auto& per_sender : next) {
+    for (int64_t n : per_sender) total += n;
+  }
+  EXPECT_EQ(total, 2 * kRuns * kRunLen);
+  EXPECT_EQ(store.pending(), 0);
+}
+
+TEST(MessageStoreDeathTest, InitRejectsMoreThan64Shards) {
+  // AppendBatch's per-shard tables hold 64 entries.
+  MessageStore<int64_t> store;
+  EXPECT_DEATH(store.Init(256, /*double_buffered=*/false, nullptr,
+                          /*shard_hint=*/128),
+               "Check failed");
+  EXPECT_DEATH(store.Init(256, /*double_buffered=*/true, nullptr,
+                          /*shard_hint=*/65),
+               "Check failed");
+  store.Init(256, /*double_buffered=*/false, nullptr, /*shard_hint=*/64);
+  EXPECT_EQ(store.num_shards(), 64);
+}
+
+TEST(MessageStoreTest, InboxCapacityPlateausAcrossRounds) {
+  // Inboxes are cleared, never freed: after the first of 10 identical
+  // rounds the total inbox capacity stays put. Consume hands out the
+  // stored buffer itself (BSP: the flat buffer, AP: the inbox) — the
+  // span starts where the visible walk saw the first message, so
+  // nothing is copied into a fresh vector.
+  for (bool bsp : {true, false}) {
+    MessageStore<int64_t> store;
+    store.Init(256, bsp, nullptr, /*shard_hint=*/4);
+    std::vector<int64_t> scratch;
+    int64_t after_first = 0;
+    for (int round = 0; round < 10; ++round) {
+      for (int32_t li = 0; li < 256; ++li) {
+        for (int m = 0; m < 10; ++m) store.Append(li, li + m);
+      }
+      if (bsp) store.Swap();
+      const int64_t capacity = store.Stats().node_capacity;
+      if (round == 0) after_first = capacity;
+      EXPECT_EQ(capacity, after_first) << "bsp=" << bsp << " round=" << round;
+      for (int32_t li = 0; li < 256; ++li) {
+        const int64_t* first = nullptr;
+        store.ForEachVisible(li, [&](const int64_t& m) {
+          if (first == nullptr) first = &m;
+        });
+        const std::span<const int64_t> span = store.Consume(li, &scratch);
+        ASSERT_EQ(span.size(), 10u);
+        EXPECT_EQ(span.data(), first) << "bsp=" << bsp << " li=" << li;
+      }
+    }
+    EXPECT_GE(after_first, 256 * 10);
+  }
 }
 
 TEST(MessageStoreTest, VisibleCountAndWalkMatchConsume) {
@@ -217,7 +321,7 @@ TEST(MessageStoreTest, ConcurrentAppendIsLinearizablePerVertex) {
   }
 }
 
-TEST(MessageStoreTest, ConcurrentCombineKeepsChainsShort) {
+TEST(MessageStoreTest, ConcurrentCombineFoldsInPlace) {
   constexpr int kThreads = 8;
   MessageStore<int64_t> store;
   store.Init(16, /*double_buffered=*/false, &MinCombine, /*shard_hint=*/4);
@@ -237,8 +341,10 @@ TEST(MessageStoreTest, ConcurrentCombineKeepsChainsShort) {
     EXPECT_GE(v[0], 100);
     EXPECT_LT(v[0], 1000);
   }
-  // Folding never grew the arena past one chunk per shard.
-  EXPECT_LE(store.arena_chunks(), store.num_shards());
+  // A combinable store folds in place and allocates no inbox.
+  const MessageStoreArenaStats stats = store.Stats();
+  EXPECT_EQ(stats.chunks, 0);
+  EXPECT_EQ(stats.node_capacity, 0);
 }
 
 TEST(CombiningMapTest, FoldsDuplicatesAndDrainsInInsertionOrder) {
