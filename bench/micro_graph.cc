@@ -1,14 +1,18 @@
 // Microbenchmarks for graph set-up (src/graph): Chung-Lu sampling, the
 // CSR build, the undirected closure and the boundary classification
-// token passing reads, at 20k and the benchmark's 160k vertices. Graphs
-// take the shapes of the two BENCHMARK.json workloads: UK' (pagerank-bsp,
-// directed) for sampling and the build, TW' (coloring-audit, undirected,
-// 2 workers x 2 partitions) for the closure and BoundaryInfo.
+// token passing reads, at 20k and the benchmark's 160k vertices; and for
+// the one graph read on the compute path, the pull gather over the
+// in-lists. Graphs take the shapes of the two BENCHMARK.json workloads:
+// UK' (pagerank-bsp, directed) for sampling, the build and the gather,
+// TW' (coloring-audit, undirected, 2 workers x 2 partitions) for the
+// closure and BoundaryInfo.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "common/bitmap.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -91,6 +95,59 @@ void BM_BoundaryInfo(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundaryInfo)->Arg(20000)->Arg(160000)
     ->Unit(benchmark::kMillisecond);
+
+/// One pull superstep's gather on the pagerank-bsp graph (UK', 160k
+/// vertices, hash-partitioned 2 workers x 2 partitions), walked partition
+/// by partition as the engine's workers walk them, on one thread. The
+/// argument is the share of vertices, in percent, whose broadcast was
+/// captured; a silent vertex's slot holds PageRank's combine identity.
+/// The loop bodies are ExecuteVertexIfEligible's two folds, chosen as the
+/// engine chooses them (every slot once captures cover half the edges).
+/// Items are in-edges folded.
+void BM_PullGather(benchmark::State& state) {
+  const uint64_t seed = SeedFor(state);
+  const Graph g = Build(Draw("UK'", 160000, seed));
+  const Partitioning p = Partitioning::Hash(g.num_vertices(), 2, 2, seed);
+  const VertexId n = g.num_vertices();
+  std::vector<double> vals(static_cast<size_t>(n), 0.0);
+  Bitmap bits(static_cast<size_t>(n));
+  Rng rng(seed);
+  int64_t captured_edges = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    if (rng.Uniform(100) < static_cast<uint64_t>(state.range(0))) {
+      bits.Set(static_cast<size_t>(u));
+      vals[u] = rng.NextDouble();
+      captured_edges += g.OutDegree(u);
+    }
+  }
+  const bool every_slot = captured_edges * 2 >= g.num_edges();
+  std::vector<double> gathered(static_cast<size_t>(n), 0.0);
+  for (auto _ : state) {
+    for (PartitionId part = 0; part < p.num_partitions(); ++part) {
+      for (VertexId v : p.VerticesOfPartition(part)) {
+        bool have = false;
+        double folded = 0.0;
+        if (every_slot) {
+          for (VertexId u : g.InNeighbors(v)) {
+            folded = folded + vals[u];
+            have |= bits.Test(static_cast<size_t>(u));
+          }
+        } else {
+          for (VertexId u : g.InNeighbors(v)) {
+            if (!bits.Test(static_cast<size_t>(u))) continue;
+            folded = folded + vals[u];
+            have = true;
+          }
+        }
+        if (have) gathered[v] = folded;
+      }
+    }
+    benchmark::DoNotOptimize(gathered.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_PullGather)->Arg(100)->Arg(30)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace serigraph

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -25,6 +26,10 @@ StatusOr<Graph> Graph::FromEdgeList(const EdgeList& edge_list) {
   if (n < 0) {
     return Status::InvalidArgument("negative vertex count");
   }
+  if (n > VertexId{std::numeric_limits<NeighborId>::max()} + 1) {
+    return Status::InvalidArgument("vertex count " + std::to_string(n) +
+                                   " exceeds 2^31, the NeighborId range");
+  }
   for (const Edge& e : edge_list.edges) {
     if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
       return Status::InvalidArgument(
@@ -38,7 +43,7 @@ StatusOr<Graph> Graph::FromEdgeList(const EdgeList& edge_list) {
   // Out-CSR by a counting sort on src: each scatter slot is taken with
   // --offsets[src], so offsets[v] ends at v's first slot.
   std::vector<int64_t>& out_offsets = g.out_offsets_;
-  std::vector<VertexId>& targets = g.out_targets_;
+  std::vector<NeighborId>& targets = g.out_targets_;
   out_offsets.assign(n + 1, 0);
   for (const Edge& e : edge_list.edges) {
     if (e.src != e.dst) ++out_offsets[e.src];
@@ -46,7 +51,9 @@ StatusOr<Graph> Graph::FromEdgeList(const EdgeList& edge_list) {
   CountsToListEnds(out_offsets);
   targets.resize(out_offsets[n]);
   for (const Edge& e : edge_list.edges) {
-    if (e.src != e.dst) targets[--out_offsets[e.src]] = e.dst;
+    if (e.src != e.dst) {
+      targets[--out_offsets[e.src]] = static_cast<NeighborId>(e.dst);
+    }
   }
   // Sort and dedup each list, compacting the lists leftwards in place.
   // The array keeps its capacity: a shrinking copy would hold two target
@@ -68,14 +75,14 @@ StatusOr<Graph> Graph::FromEdgeList(const EdgeList& edge_list) {
   // In-CSR by a counting scatter over the out-CSR. Filling each in-list
   // from its end while src descends leaves it sorted by src.
   std::vector<int64_t>& in_offsets = g.in_offsets_;
-  std::vector<VertexId>& sources = g.in_sources_;
+  std::vector<NeighborId>& sources = g.in_sources_;
   in_offsets.assign(n + 1, 0);
   for (VertexId dst : targets) ++in_offsets[dst];
   CountsToListEnds(in_offsets);
   sources.resize(kept);
   for (VertexId src = n - 1; src >= 0; --src) {
     for (int64_t i = out_offsets[src + 1] - 1; i >= out_offsets[src]; --i) {
-      sources[--in_offsets[targets[i]]] = src;
+      sources[--in_offsets[targets[i]]] = static_cast<NeighborId>(src);
     }
   }
   return g;
@@ -114,8 +121,7 @@ Graph Graph::Undirected() const {
                    g.out_targets_.begin() + g.out_offsets_[v]);
   }
   // The closure is symmetric: v's in-neighbours are its out-neighbours.
-  g.in_offsets_ = g.out_offsets_;
-  g.in_sources_ = g.out_targets_;
+  g.symmetric_ = true;
   return g;
 }
 
@@ -126,6 +132,7 @@ Graph Graph::Clone() const {
   g.out_targets_ = out_targets_;
   g.in_offsets_ = in_offsets_;
   g.in_sources_ = in_sources_;
+  g.symmetric_ = symmetric_;
   return g;
 }
 

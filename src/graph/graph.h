@@ -22,25 +22,29 @@ namespace serigraph {
 /// Contract every Graph keeps, and callers rely on: OutNeighbors(v) and
 /// InNeighbors(v) are sorted ascending and free of duplicates, and no
 /// vertex is its own neighbour. (HistoryRecorder's in-edge index and its
-/// binary search over InNeighbors depend on the in-lists' order.)
+/// binary search over InNeighbors depend on the in-lists' order.) List
+/// entries are NeighborIds (types.h), so a graph has at most 2^31
+/// vertices.
 class Graph {
  public:
   /// Builds a graph from an edge list. Self-loops are dropped (vertex
   /// programs never message themselves in the paper's model) and duplicate
-  /// edges are collapsed. Fails if any endpoint is outside
+  /// edges are collapsed. Fails if num_vertices exceeds 2^31 (before
+  /// allocating anything) or if any endpoint is outside
   /// [0, edge_list.num_vertices).
   ///
   /// Cost: a counting sort, O(|V| + |E|) plus a sort of each adjacency
-  /// list. The input is read, never copied. The arrays hold 8 B per kept
-  /// edge in each direction; the out-array's capacity also spans the
-  /// dropped self loops and duplicates.
+  /// list. The input is read, never copied. The arrays hold 4 B per kept
+  /// edge in each direction and 8 B offsets per vertex; the out-array's
+  /// capacity also spans the dropped self loops and duplicates.
   static StatusOr<Graph> FromEdgeList(const EdgeList& edge_list);
 
   /// Returns the undirected closure: every edge (u,v) also present as
   /// (v,u). Needed by graph coloring, which requires undirected input.
   ///
   /// Cost: O(|V| + |E|), a merge of each vertex's out- and in-list; no
-  /// edge list is built and nothing is sorted.
+  /// edge list is built and nothing is sorted. The closure stores its
+  /// lists once: InNeighbors(v) is OutNeighbors(v), the same memory.
   Graph Undirected() const;
 
   Graph() = default;
@@ -62,14 +66,15 @@ class Graph {
     return out_offsets_[v + 1] - out_offsets_[v];
   }
   int64_t InDegree(VertexId v) const {
-    return in_offsets_[v + 1] - in_offsets_[v];
+    return symmetric_ ? OutDegree(v) : in_offsets_[v + 1] - in_offsets_[v];
   }
 
-  std::span<const VertexId> OutNeighbors(VertexId v) const {
+  std::span<const NeighborId> OutNeighbors(VertexId v) const {
     return {out_targets_.data() + out_offsets_[v],
             out_targets_.data() + out_offsets_[v + 1]};
   }
-  std::span<const VertexId> InNeighbors(VertexId v) const {
+  std::span<const NeighborId> InNeighbors(VertexId v) const {
+    if (symmetric_) return OutNeighbors(v);
     return {in_sources_.data() + in_offsets_[v],
             in_sources_.data() + in_offsets_[v + 1]};
   }
@@ -90,9 +95,11 @@ class Graph {
  private:
   VertexId num_vertices_ = 0;
   std::vector<int64_t> out_offsets_{0};
-  std::vector<VertexId> out_targets_;
+  std::vector<NeighborId> out_targets_;
+  // Left unbuilt when symmetric_: the in-lists are then the out-lists.
   std::vector<int64_t> in_offsets_{0};
-  std::vector<VertexId> in_sources_;
+  std::vector<NeighborId> in_sources_;
+  bool symmetric_ = false;
 };
 
 }  // namespace serigraph

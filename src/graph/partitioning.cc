@@ -125,7 +125,7 @@ BoundaryInfo::BoundaryInfo(const Graph& graph,
     bool has_remote = false;  // different worker
     // Once both are seen the vertex is mixed-boundary whatever the rest
     // of its lists holds, so the scan stops there.
-    auto scan = [&](std::span<const VertexId> nbrs) {
+    auto scan = [&](auto nbrs) {
       for (VertexId u : nbrs) {
         const PartitionId pu = partitioning.PartitionOf(u);
         if (pu == pv) continue;

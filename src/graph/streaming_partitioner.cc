@@ -37,7 +37,7 @@ Partitioning StreamingGreedyPartition(const Graph& graph,
 
   for (VertexId v : order) {
     touched.clear();
-    auto tally = [&](std::span<const VertexId> nbrs) {
+    auto tally = [&](auto nbrs) {
       for (VertexId u : nbrs) {
         const PartitionId p = assignment[u];
         if (p == kInvalidPartition) continue;

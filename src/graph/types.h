@@ -11,6 +11,13 @@ namespace serigraph {
 /// numbered [0, n).
 using VertexId = int64_t;
 
+/// A vertex id as a Graph's adjacency arrays store it: 4 bytes, so each
+/// stored edge costs half a VertexId. Holds every id of a graph with at
+/// most 2^31 vertices, which Graph::FromEdgeList enforces. Callers read
+/// neighbour spans as VertexId (a range-for converts) or through `auto`;
+/// only src/graph depends on the width.
+using NeighborId = int32_t;
+
 /// Graph partition identifier (dense, [0, num_partitions)).
 using PartitionId = int32_t;
 

@@ -428,7 +428,7 @@ class Engine {
       engine_->values_[vertex_] = std::move(value);
     }
 
-    std::span<const VertexId> out_neighbors() const {
+    auto out_neighbors() const {
       return engine_->graph_->OutNeighbors(vertex_);
     }
     int64_t num_out_edges() const {
@@ -462,7 +462,7 @@ class Engine {
           return;
         }
       }
-      const std::span<const VertexId> targets = out_neighbors();
+      const auto targets = out_neighbors();
       if (engine_->recorder_ != nullptr) {
         // Provenance by out-edge position: no search per message.
         const std::span<const int64_t> in_edges =

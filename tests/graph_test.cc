@@ -7,6 +7,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +24,10 @@ Graph Make(const EdgeList& el) {
   EXPECT_TRUE(g.ok()) << g.status();
   return std::move(g).value();
 }
+
+// Adjacency entries are 4 bytes in both directions.
+static_assert(sizeof(Graph().OutNeighbors(0)[0]) == 4);
+static_assert(sizeof(Graph().InNeighbors(0)[0]) == 4);
 
 TEST(GraphTest, EmptyGraph) {
   Graph g = Make({0, {}});
@@ -54,6 +59,39 @@ TEST(GraphTest, RejectsOutOfRangeEndpoints) {
   EXPECT_FALSE(Graph::FromEdgeList({2, {{0, 2}}}).ok());
   EXPECT_FALSE(Graph::FromEdgeList({2, {{-1, 0}}}).ok());
   EXPECT_FALSE(Graph::FromEdgeList({-1, {}}).ok());
+}
+
+TEST(GraphTest, RejectsMoreVerticesThanNeighborIdsHold) {
+  // 2^31 vertices is the most 4-byte lists can name. The check comes
+  // before any allocation: the offsets alone would take 16 GiB here.
+  const StatusOr<Graph> g = Graph::FromEdgeList({(VertexId{1} << 31) + 1, {}});
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Asserts that every in-list of `g` is its out-list, the same memory.
+void ExpectListsStoredOnce(const Graph& g, const std::string& what) {
+  ASSERT_GT(g.num_edges(), 0) << what;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(g.InNeighbors(v).data(), g.OutNeighbors(v).data())
+        << what << ", v" << v;
+    ASSERT_EQ(g.InNeighbors(v).size(), g.OutNeighbors(v).size())
+        << what << ", v" << v;
+    ASSERT_EQ(g.InDegree(v), g.OutDegree(v)) << what << ", v" << v;
+  }
+}
+
+TEST(GraphTest, ClosureStoresItsListsOnce) {
+  const Graph closure = Make(PowerLawChungLu(1000, 6.0, 2.2, 3)).Undirected();
+  ExpectListsStoredOnce(closure, "closure");
+  Graph clone = closure.Clone();
+  ExpectListsStoredOnce(clone, "clone");
+  EXPECT_EQ(clone.ToEdges(), closure.ToEdges());
+  Graph moved(std::move(clone));
+  ExpectListsStoredOnce(moved, "move-constructed");
+  Graph assigned;
+  assigned = std::move(moved);
+  ExpectListsStoredOnce(assigned, "move-assigned");
 }
 
 TEST(GraphTest, UndirectedClosureIsSymmetric) {
@@ -295,7 +333,10 @@ EdgeList OraclePowerLawChungLu(VertexId num_vertices, double avg_degree,
   return el;
 }
 
-std::vector<VertexId> ToVector(std::span<const VertexId> s) {
+/// Widens a list to VertexIds, so Graph's NeighborId lists compare
+/// value for value against the oracle's VertexId lists.
+template <typename Id>
+std::vector<VertexId> ToVector(std::span<const Id> s) {
   return {s.begin(), s.end()};
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "graph/generators.h"
@@ -209,7 +208,7 @@ std::vector<VertexLocality> OracleLocalities(const Graph& graph,
     const WorkerId wv = partitioning.WorkerOfPartition(pv);
     bool has_local = false;
     bool has_remote = false;
-    auto scan = [&](std::span<const VertexId> nbrs) {
+    auto scan = [&](auto nbrs) {
       for (VertexId u : nbrs) {
         const PartitionId pu = partitioning.PartitionOf(u);
         if (pu == pv) continue;
