@@ -65,7 +65,8 @@ inline std::string Fig6Slug(const std::string& title) {
 
 /// Runs `run(graph, config)` over the full evaluation grid and prints the
 /// figure's table. `run` returns (stats, valid). Returns a process exit
-/// code; pass main()'s argc/argv so the shared bench flags work.
+/// code, nonzero when a cell is invalid or a run's watchdog confirmed a
+/// deadlock; pass main()'s argc/argv so the shared bench flags work.
 inline int RunFig6Grid(
     int argc, char** argv, const std::string& title,
     const std::string& paper_expectation, bool undirected,
@@ -107,6 +108,8 @@ inline int RunFig6Grid(
                       "fork/compute"});
   std::vector<SuperstepSample> last_timeline;
   std::string last_timeline_label;
+  int invalid_cells = 0;
+  int64_t deadlocks = 0;
   for (const DatasetSpec& spec : StandInSpecs()) {
     if (spec.name == "AR'") continue;  // like the paper's main text
     Graph graph =
@@ -132,10 +135,12 @@ inline int RunFig6Grid(
           config.introspect = true;
           config.perf_counters = args.perf_counters;
           auto [stats, valid] = run(graph, config);
+          deadlocks += stats.introspect_deadlocks;
           cell.rep_seconds.push_back(stats.computation_seconds);
           cell.stats = std::move(stats);
           cell.valid = cell.valid && valid;
         }
+        if (!cell.valid) ++invalid_cells;
         if (sync == SyncMode::kPartitionLocking) {
           partition_time = MedianOf(cell.rep_seconds);
           last_timeline = cell.stats.timeline;
@@ -229,6 +234,13 @@ inline int RunFig6Grid(
   }
 
   int exit_code = 0;
+  if (invalid_cells > 0 || deadlocks > 0) {
+    std::fprintf(stderr,
+                 "%s: %d invalid cell(s), %lld confirmed deadlock(s)\n",
+                 title.c_str(), invalid_cells,
+                 static_cast<long long>(deadlocks));
+    exit_code = 1;
+  }
   if (!args.json_path.empty()) {
     report.env = CaptureBenchEnvironment();
     if (report.WriteJson(args.json_path)) {

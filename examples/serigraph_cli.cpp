@@ -243,7 +243,9 @@ void PrintHelp() {
       "                                   restore from the last checkpoint\n"
       "  --max-recovery=N                 recovery attempts before giving\n"
       "                                   up (default 3)\n"
-      "  --heartbeat-timeout-ms=N         supervisor per-worker timeout\n"
+      "  --heartbeat-timeout-ms=N         fault runs: the watchdog declares\n"
+      "                                   a runnable worker with no progress\n"
+      "                                   for N ms hung (default 2000)\n"
       "  --serve-obs=PORT                 serve /metrics /healthz /statusz\n"
       "                                   /incidentz on 127.0.0.1:PORT while\n"
       "                                   the run is live (0 = pick an\n"
@@ -496,7 +498,7 @@ int main(int argc, char** argv) {
   options.fault.recover = cli.recover;
   options.fault.max_recovery_attempts = cli.max_recovery;
   if (cli.heartbeat_timeout_ms > 0) {
-    options.fault.supervisor.heartbeat_timeout_ms = cli.heartbeat_timeout_ms;
+    options.watchdog.heartbeat_timeout_ms = cli.heartbeat_timeout_ms;
   }
   if (!cli.fault_plan.empty()) {
     if (cli.fault_plan == "random") {
@@ -570,11 +572,11 @@ int main(int argc, char** argv) {
   };
   const int exit_code = run();
 
-  // An aborted run (exit 3: watchdog/supervisor) must never exit without
-  // the incident that caused it on disk: the in-engine triggers normally
-  // wrote one already, but if every automatic dump was rate-limited or
-  // failed, capture a final bundle while the flight recorder still holds
-  // the tail.
+  // An aborted run (exit 3: a watchdog verdict or a worker failure) must
+  // never exit without the incident that caused it on disk: the in-engine
+  // triggers normally wrote one already, but if every automatic dump was
+  // rate-limited or failed, capture a final bundle while the flight
+  // recorder still holds the tail.
   if (exit_code == 3 && !cli.incident_dir.empty() &&
       IncidentManager::Get().List().empty()) {
     TriggerIncidentDump("cli-abort", "run aborted (exit 3)",

@@ -292,15 +292,18 @@ EOF
 
   # --- unhealthy half: an injected hang parks one worker; the watchdog
   # confirms the stall, flips /healthz to 503, and writes an automatic
-  # incident bundle before the supervisor heartbeat releases the hang
-  # and the run aborts with exit 3.
+  # incident bundle; the stall fails the attempt, which releases the
+  # hang, and with recovery off the run aborts with exit 3. The abort
+  # follows the verdict within milliseconds, so the endpoint lingers to
+  # be read, and the 503 must name the watchdog's own component (the
+  # engine's abort adds an "engine" one).
   PLAN="$OBS_DIR/plan.txt"
   printf 'hang point=engine.post_compute worker=1 hit=2\n' > "$PLAN"
   LOG2="$OBS_DIR/abort.log"
   "$CLI" --algorithm=sssp --generator=erdos --vertices=300 --degree=4 \
     --seed=2 --sync=partition-locking --workers=3 \
     --fault-plan="$PLAN" --heartbeat-timeout-ms=4000 \
-    --watchdog-ms=100 --stall-abort-ms=1000 \
+    --watchdog-ms=100 --stall-abort-ms=1000 --obs-linger-ms=3000 \
     --serve-obs=0 --incident-dir="$OBS_DIR/abort-incidents" \
     > "$LOG2" 2>&1 &
   ABORT_PID=$!
@@ -319,7 +322,8 @@ try:
     print(urllib.request.urlopen(
         "http://127.0.0.1:%s/healthz" % sys.argv[1], timeout=2).status)
 except urllib.error.HTTPError as e:
-    print(e.code)
+    # Only a 503 that the watchdog verdict reported counts.
+    print(e.code if b"watchdog-stall" in e.read() else "503-other")
 except Exception:
     print(0)
 ' "$PORT2")"
@@ -339,7 +343,7 @@ except Exception:
     fi
   fi
   if [[ "$SAW_503" != "1" ]]; then
-    echo "obs smoke: /healthz never flipped 503 before the abort" >&2
+    echo "obs smoke: /healthz never flipped 503 on the watchdog's stall" >&2
     cat "$LOG2" >&2
     exit 1
   fi
@@ -539,16 +543,15 @@ if [[ "$INTROSPECT_SMOKE" == "1" ]]; then
   JSONL="$SMOKE_DIR/introspect.jsonl"
   METRICS="$SMOKE_DIR/metrics.json"
 
-  # watchdog-ms=50: deadlock confirmation needs frozen progress across
-  # two consecutive samples, and under a sanitizer's ~10x slowdown on a
-  # small machine the workers routinely freeze for >20ms without being
-  # deadlocked — 10ms periods false-positived deterministically on a
-  # 1-CPU TSan box.
+  # watchdog-ms=10: the deadlock rule reads the fork table (a chain of
+  # philosophers that cannot move, unchanged across two samples), not
+  # the timing of progress counters, so a sanitizer's slowdown cannot
+  # make a healthy run look deadlocked however short the period.
   TSAN_OPTIONS="halt_on_error=1" \
     "$BUILD_DIR/examples/serigraph_cli" \
       --algorithm=coloring --generator=powerlaw --vertices=2000 \
       --degree=8 --sync=partition-locking --workers=8 --latency-us=100 \
-      --introspect-out="$JSONL" --watchdog-ms=50 \
+      --introspect-out="$JSONL" --watchdog-ms=10 \
       --metrics-json="$METRICS"
 
   python3 - "$JSONL" "$METRICS" <<'EOF'

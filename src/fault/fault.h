@@ -112,7 +112,7 @@ struct RetryPolicy {
 class FaultInjector {
  public:
   /// Invoked (with no injector lock held) when a crash event fires.
-  /// The engine marks the worker dead and notifies the supervisor.
+  /// The engine marks the worker dead and fails the attempt.
   using CrashHandler = std::function<void(int worker, const char* point)>;
 
   static FaultInjector& Get();

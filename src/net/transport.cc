@@ -223,7 +223,7 @@ std::optional<WireMessage> Transport::Receive(WorkerId worker) {
   // thread's first event, which must never nest under inbox.mu
   // (lock-order fix surfaced by the annotation pass; docs/LOCK_ORDER.md
   // keeps the tracer's lock leaf-only), and the loss callback takes
-  // engine and supervisor locks.
+  // engine, introspector and barrier locks.
   if (gap && loss_cb_) loss_cb_(gap->src, worker, gap->expected, gap->got);
   if (msg->span != 0 && Tracer::enabled()) {
     Tracer::RecordFlow(FlowName(msg->kind), 'f', msg->span);

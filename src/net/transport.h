@@ -49,8 +49,8 @@ struct NetworkOptions {
 /// under the destination inbox lock. Receivers drop already-delivered
 /// sequences (`net.dup_dropped`) so injected duplicates cannot corrupt
 /// fork/token protocol state, and report sequence gaps (`net.seq_gaps`)
-/// — message loss — through the loss callback, which the engine feeds to
-/// the recovery supervisor.
+/// — message loss — through the loss callback, which the engine turns
+/// into a failed attempt (and a recovery).
 class Transport {
  public:
   /// Invoked outside any transport lock when a receiver observes a gap in

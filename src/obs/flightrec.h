@@ -27,9 +27,9 @@ struct BuildInfo {
 };
 BuildInfo GetBuildInfo();
 
-/// Process-wide health, fed by the watchdog (deadlock/stall
-/// confirmation), the supervisor (worker failures), and the engine
-/// (recovery attempts, aborts). `/healthz` renders it; level is the
+/// Process-wide health, fed by the watchdog (hung, stall and deadlock
+/// verdicts), the engine's failure path (worker failures, reported as
+/// "supervisor"), and the engine (recovery attempts, aborts). `/healthz` renders it; level is the
 /// max over currently-reported components, so clearing a component
 /// recovers the aggregate.
 enum class HealthLevel : int { kOk = 0, kDegraded = 1, kUnhealthy = 2 };
@@ -192,7 +192,7 @@ class IncidentManager {
   std::vector<IncidentRecord> records_ SY_GUARDED_BY(incident_mu_);
 };
 
-/// Convenience used by the watchdog, supervisor, engine, and CLI:
+/// Convenience used by the watchdog, the engine, and the CLI:
 /// flips health (unless `level` is kOk), records a trace instant, and
 /// writes an incident bundle if an incident dir is
 /// configured. Never throws, never fails the caller.

@@ -42,11 +42,19 @@ void Introspector::Configure(int num_workers, std::string resource_kind) {
     }
     contention_.push_back(std::make_unique<ContentionShard>());
   }
-  abort_requested_.store(false, std::memory_order_release);
+  BeginAttempt();
+}
+
+void Introspector::BeginAttempt() {
+  for (auto& b : beacons_) {
+    // mo: beacon cell; watchdog tolerates races
+    b->dead.store(false, std::memory_order_relaxed);
+  }
   {
     sy::MutexLock lock(&abort_mu_);
     abort_reason_.clear();
   }
+  abort_requested_.store(false, std::memory_order_release);
 }
 
 void Introspector::SetPhase(WorkerId w, WorkerPhase phase, int superstep) {
@@ -144,6 +152,27 @@ void Introspector::OnProgress(WorkerId w) {
   beacons_[w]->progress_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Introspector::EnterBlocked(WorkerId w) {
+  if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
+  // mo: beacon cell; watchdog tolerates races
+  beacons_[w]->blocked.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Introspector::ExitBlocked(WorkerId w) {
+  if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
+  Beacon& b = *beacons_[w];
+  // mo: beacon cell; watchdog tolerates races
+  b.blocked.fetch_sub(1, std::memory_order_relaxed);
+  // mo: beacon cell; watchdog tolerates races
+  b.progress_epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Introspector::MarkDead(WorkerId w) {
+  if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
+  // mo: beacon cell; watchdog tolerates races
+  beacons_[w]->dead.store(true, std::memory_order_relaxed);
+}
+
 void Introspector::SetTokenHolder(WorkerId w, int64_t holder) {
   if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
   // mo: beacon cell; watchdog tolerates races
@@ -177,6 +206,10 @@ BeaconSnapshot Introspector::ReadBeacon(WorkerId w) const {
   snap.acquiring = b.acquiring.load(std::memory_order_relaxed);
   // mo: beacon cell; watchdog tolerates races
   snap.token_holder = b.token_holder.load(std::memory_order_relaxed);
+  // mo: beacon cell; watchdog tolerates races
+  snap.blocked = b.blocked.load(std::memory_order_relaxed);
+  // mo: beacon cell; watchdog tolerates races
+  snap.dead = b.dead.load(std::memory_order_relaxed);
   const int n =
       std::min(b.wait_count.load(std::memory_order_acquire), kMaxWaitTargets);
   snap.wait_count = n;
@@ -278,20 +311,23 @@ std::vector<EdgeContentionEntry> Introspector::EdgeContentionTopK(int k) const {
   return entries;
 }
 
-void Introspector::SetQueueProbe(QueueProbe probe) {
+void Introspector::SetProbes(QueueProbe queues, ForkProbe forks) {
   sy::MutexLock lock(&probe_mu_);
-  queue_probe_ = std::move(probe);
+  queue_probe_ = std::move(queues);
+  fork_probe_ = std::move(forks);
 }
 
-void Introspector::ClearQueueProbe() {
-  sy::MutexLock lock(&probe_mu_);
-  queue_probe_ = nullptr;
-}
+void Introspector::ClearProbes() { SetProbes(nullptr, nullptr); }
 
 void Introspector::ProbeQueues(WorkerId w, int64_t* inbox_depth,
                                int64_t* outbox_bytes) const {
   sy::MutexLock lock(&probe_mu_);
   if (queue_probe_) queue_probe_(w, inbox_depth, outbox_bytes);
+}
+
+StuckChain Introspector::ProbeForks() const {
+  sy::MutexLock lock(&probe_mu_);
+  return fork_probe_ ? fork_probe_() : StuckChain{};
 }
 
 void Introspector::RequestAbort(const std::string& reason) {

@@ -63,8 +63,11 @@ struct BeaconSnapshot {
   /// Tracer::NowMicros() when the current phase was entered.
   int64_t phase_since_us = 0;
   /// Monotonic per-worker progress counter: bumped on every vertex
-  /// execution, completed fork acquisition, and superstep completion.
+  /// execution, completed fork acquisition, and blocked-section exit.
   uint64_t progress_epoch = 0;
+  /// Open blocked sections (BlockedSection); none open means runnable.
+  int blocked = 0;
+  bool dead = false;  ///< crashed in this attempt (MarkDead)
   /// Philosopher currently being acquired (-1 when not in kForkWait).
   int64_t acquiring = -1;
   /// Worker currently holding the global token (-1 for lock techniques).
@@ -83,8 +86,8 @@ struct BeaconSnapshot {
 };
 
 /// Process-wide runtime introspection hub: per-worker state beacons, a
-/// fork-contention profile, and the abort channel the watchdog uses to
-/// convert confirmed stalls into clean run failures.
+/// fork-contention profile, the watchdog's probes, and the abort channel
+/// that unblocks fork waits when a run or attempt ends early.
 ///
 /// Same design contract as the Tracer (obs/trace.h): when disabled, every
 /// hook is one relaxed atomic load and a branch; when enabled, beacon
@@ -93,8 +96,9 @@ struct BeaconSnapshot {
 /// on the already-blocked acquire path, never on uncontended acquires.
 ///
 /// Lifecycle: an engine run calls Configure() (which clears all state
-/// from the previous run), Enable(), and Disable() at teardown. Exactly
-/// one run may use the introspector at a time.
+/// from the previous run) and Enable() once, BeginAttempt() before each
+/// attempt's workers start, and Disable() at the end. Exactly one run may
+/// use the introspector at a time.
 class Introspector {
  public:
   static constexpr int kMaxWaitTargets = BeaconSnapshot::kMaxWaitTargets;
@@ -114,6 +118,10 @@ class Introspector {
   /// flag. `resource_kind` labels philosopher ids in reports
   /// ("partition" or "vertex"). Must not race with hooks or the watchdog.
   void Configure(int num_workers, std::string resource_kind);
+
+  /// Clears the abort channel and the death marks for a new attempt;
+  /// progress and the contention profile carry over.
+  void BeginAttempt();
 
   // mo: on/off gate; stale reads tolerated
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
@@ -140,8 +148,13 @@ class Introspector {
   void EndAcquire(WorkerId w, int64_t resource, int64_t wait_us,
                   bool acquired);
 
-  /// Bumps `w`'s progress epoch (vertex executed, superstep completed).
+  /// Bumps `w`'s progress epoch (a vertex executed).
   void OnProgress(WorkerId w);
+
+  /// BlockedSection's hooks; leaving counts as progress.
+  void EnterBlocked(WorkerId w);
+  void ExitBlocked(WorkerId w);
+  void MarkDead(WorkerId w);
 
   void SetTokenHolder(WorkerId w, int64_t holder);
 
@@ -163,27 +176,31 @@ class Introspector {
   /// Top `k` wait-for-graph edges by total attributed wait time.
   std::vector<EdgeContentionEntry> EdgeContentionTopK(int k) const;
 
-  // --- queue-depth probe ----------------------------------------------
+  // --- probes ------------------------------------------------------------
 
-  /// The engine registers a probe so the watchdog can sample transport
-  /// inbox depth and buffered outbox bytes per worker. The probe runs on
-  /// the watchdog thread; it must be cleared before the probed objects
-  /// are destroyed.
+  /// The engine registers probes into objects the obs layer cannot link:
+  /// transport inbox depth and buffered outbox bytes per worker, and the
+  /// fork table's stuck chain (either may be null). Probes run with
+  /// probe_mu_ held, so after ClearProbes() none is running and the
+  /// probed objects may be destroyed.
   using QueueProbe =
       std::function<void(WorkerId w, int64_t* inbox_depth,
                          int64_t* outbox_bytes)>;
-  void SetQueueProbe(QueueProbe probe);
-  void ClearQueueProbe();
-  /// Invokes the probe if registered; otherwise leaves outputs at 0.
+  using ForkProbe = std::function<StuckChain()>;
+  void SetProbes(QueueProbe queues, ForkProbe forks);
+  void ClearProbes();
+  /// Without a probe the outputs stay 0 / the chain empty.
   void ProbeQueues(WorkerId w, int64_t* inbox_depth,
                    int64_t* outbox_bytes) const;
+  StuckChain ProbeForks() const;
 
   // --- abort channel ----------------------------------------------------
 
-  /// Requests a clean abort of the current run (watchdog: confirmed
-  /// stall/deadlock). Blocked acquires return without their forks, and
-  /// the engine converts the flag into Status::Aborted at the next
-  /// barrier. First caller wins; later reasons are dropped.
+  /// Requests a clean abort of the current run or attempt (a failure, or
+  /// a watchdog verdict under abort_on_stall). Blocked acquires return
+  /// without their forks, and the engine converts the flag into
+  /// Status::Aborted at the next barrier. First caller wins; later
+  /// reasons are dropped.
   void RequestAbort(const std::string& reason);
   bool abort_requested() const {
     return abort_requested_.load(std::memory_order_acquire);
@@ -201,6 +218,8 @@ class Introspector {
     std::atomic<uint64_t> progress_epoch{0};
     std::atomic<int64_t> acquiring{-1};
     std::atomic<int64_t> token_holder{-1};
+    std::atomic<int> blocked{0};
+    std::atomic<bool> dead{false};
     std::atomic<int> wait_count{0};
     std::atomic<int> wait_total{0};
     std::atomic<int64_t> wait_resource[kMaxWaitTargets];
@@ -234,10 +253,31 @@ class Introspector {
 
   mutable sy::Mutex probe_mu_;
   QueueProbe queue_probe_ SY_GUARDED_BY(probe_mu_);
+  ForkProbe fork_probe_ SY_GUARDED_BY(probe_mu_);
 
   std::atomic<bool> abort_requested_{false};
   mutable sy::Mutex abort_mu_;
   std::string abort_reason_ SY_GUARDED_BY(abort_mu_);
+};
+
+/// Marks a legitimate wait (barrier, flush acks, fork acquisition) on
+/// worker `w`'s beacon for the scope's lifetime, exempting the worker
+/// from the watchdog's hung rule. Off: one relaxed load and a branch.
+class BlockedSection {
+ public:
+  explicit BlockedSection(WorkerId w)
+      : worker_(Introspector::enabled() ? w : -1) {
+    if (worker_ >= 0) Introspector::Get().EnterBlocked(worker_);
+  }
+  ~BlockedSection() {
+    if (worker_ >= 0) Introspector::Get().ExitBlocked(worker_);
+  }
+
+  BlockedSection(const BlockedSection&) = delete;
+  BlockedSection& operator=(const BlockedSection&) = delete;
+
+ private:
+  WorkerId worker_;
 };
 
 }  // namespace serigraph

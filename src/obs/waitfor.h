@@ -20,13 +20,31 @@ struct WaitForEdge {
 };
 
 /// Instantaneous worker-level wait-for graph, assembled by the watchdog
-/// from the per-worker state beacons (obs/introspect.h). A cycle that
-/// persists across samples with no progress is a deadlock — which the
-/// Chandy-Misra protocol guarantees cannot happen, so a confirmed cycle
-/// is a bug report, not an operational condition.
+/// from the per-worker state beacons (obs/introspect.h). It describes who
+/// waits on whom in snapshots and incident bundles; it decides nothing.
+/// Each beacon's wait list is written once at wait entry and not updated
+/// as forks arrive, so a cycle here is routinely a stale picture (two
+/// workers each waiting on the other's *eating* philosopher). Deadlocks
+/// are confirmed from the fork table instead (StuckChain).
 struct WaitForGraph {
   int num_workers = 0;
   std::vector<WaitForEdge> edges;
+};
+
+/// Chandy-Misra philosophers that cannot move (ChandyMisraTable::
+/// FindStuckChain): each member but the last is hungry and misses a fork
+/// that the next holds, clean, with the request token (nothing in
+/// flight); the next is hungry too, or thinking and will not eat. The
+/// chain closes into a cycle or ends at that thinking philosopher, which
+/// no correct run allows (docs/OBSERVABILITY.md, "Watchdog"). `versions`
+/// are change counters: equal chains show that no member moved.
+struct StuckChain {
+  std::vector<int64_t> philosophers;
+  std::vector<uint64_t> versions;
+  bool cycle = false;
+
+  bool empty() const { return philosophers.empty(); }
+  bool operator==(const StuckChain&) const = default;
 };
 
 /// Finds a directed cycle among workers, returned as the worker ids along

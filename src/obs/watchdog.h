@@ -1,9 +1,9 @@
 #ifndef SERIGRAPH_OBS_WATCHDOG_H_
 #define SERIGRAPH_OBS_WATCHDOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,18 +16,17 @@
 namespace serigraph {
 
 struct WatchdogOptions {
-  /// Sampling period. Each tick reads all beacons, assembles the wait-for
-  /// graph, and appends one JSONL snapshot (if jsonl_path is set).
+  /// Sampling period: each tick judges the rules and appends one JSONL
+  /// snapshot (if jsonl_path).
   int period_ms = 25;
-  /// A worker blocked longer than this with no global progress is a stall.
-  int stall_ms = 2000;
-  /// Convert a confirmed stall or deadlock into Introspector::RequestAbort
-  /// so the engine fails the run cleanly instead of hanging.
+  /// Fault runs: a runnable worker without progress this long is hung.
+  int64_t heartbeat_timeout_ms = 2000;
+  /// No worker progressed this long while one waits: a stall.
+  int64_t stall_ms = 5000;
+  /// Outside fault runs, turn a verdict into Introspector::RequestAbort
+  /// so the run fails cleanly instead of hanging.
   bool abort_on_stall = false;
-  /// Rows kept in the end-of-run contention tables.
-  int top_k = 10;
-  /// JSONL event-log destination; empty disables streaming (snapshots are
-  /// still taken for stall/deadlock detection and the final summary).
+  /// JSONL event-log destination; empty disables streaming.
   std::string jsonl_path;
 };
 
@@ -36,29 +35,40 @@ struct WatchdogSummary {
   int64_t snapshots = 0;
   int64_t stalls_flagged = 0;
   int64_t deadlocks_detected = 0;
-  /// Human-readable stall/deadlock reports, in detection order.
+  /// Human-readable verdicts ("stall: ..." for hung workers and stalls,
+  /// "deadlock: ..."), in detection order.
   std::vector<std::string> incidents;
-  /// Wait-for graph of the last sample taken (the Stop() sample).
-  WaitForGraph last_graph;
   std::vector<ContentionEntry> top_contention;
   std::vector<EdgeContentionEntry> top_edges;
 };
 
-/// Background sampler over the Introspector's beacons.
+/// The run monitor: one sampler thread over the Introspector's beacons and
+/// fork probe, for a whole engine run across recovery attempts. Each
+/// periodic sample judges three rules:
 ///
-/// Deadlock policy: Chandy-Misra's hygienic protocol is deadlock-free, so
-/// a wait-for cycle observed in one sample is expected (forks are in
-/// flight); a cycle is only *confirmed* — and reported loudly — when the
-/// same worker cycle shows up in two consecutive samples with none of the
-/// involved workers advancing their progress epoch in between. Stalls use
-/// the same progress evidence: a worker blocked > stall_ms while the sum
-/// of all progress epochs is frozen.
+///   * deadlock: the same stuck fork chain (StuckChain), no member
+///     changed, on two consecutive samples — a protocol bug, however
+///     slowly the workers are scheduled;
+///   * hung (fault runs only): a live, runnable worker made no progress
+///     for heartbeat_timeout_ms (reported as a stall);
+///   * stall: no worker progressed for stall_ms while one waits.
 ///
-/// Start()/Stop() bracket an engine run; Stop() always takes a final
-/// sample so even sub-period runs produce at least one snapshot.
+/// Nothing is confirmed while an abort is pending (abandoned acquires
+/// leave clean forks at thinking philosophers); the clocks restart for
+/// the next attempt. A verdict is logged, counted, streamed, and turns
+/// /healthz unhealthy with an incident bundle, then fails the attempt
+/// through `on_failure` (fault runs) or aborts under abort_on_stall.
+/// Stop() takes a final sample (no rules judged), so even sub-period
+/// runs produce a snapshot.
 class Watchdog {
  public:
-  explicit Watchdog(WatchdogOptions options) : options_(std::move(options)) {}
+  /// Fails the current attempt with the verdict as its reason.
+  using FailureFn = std::function<void(const std::string& reason)>;
+
+  /// A non-null `on_failure` marks a fault run: the hung rule is on and
+  /// every verdict goes to it instead of the abort_on_stall policy.
+  explicit Watchdog(WatchdogOptions options, FailureFn on_failure = nullptr)
+      : options_(std::move(options)), on_failure_(std::move(on_failure)) {}
   ~Watchdog() { Stop(); }
 
   Watchdog(const Watchdog&) = delete;
@@ -72,44 +82,59 @@ class Watchdog {
   /// Idempotent.
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  /// Returns once no sample is in progress, so a verdict reached by a
+  /// running sample has been acted on. The engine calls it between
+  /// attempts, after it stopped accepting failures.
+  void Quiesce();
 
   /// Valid after Stop().
   const WatchdogSummary& summary() const { return summary_; }
 
-  const WatchdogOptions& options() const { return options_; }
-
  private:
+  /// Rows kept in the end-of-run contention tables.
+  static constexpr int kTopK = 10;
+
+  /// Sampler-thread view of one worker's progress.
+  struct WorkerClock {
+    uint64_t progress = 0;
+    int64_t since_us = 0;
+  };
+
   void Loop();
   /// One sampling tick; `final_sample` marks the Stop() sample in the log.
   void Sample(bool final_sample);
+  /// Applies the three rules to one sample.
+  void Judge(const std::vector<BeaconSnapshot>& beacons,
+             const WaitForGraph& graph, const std::vector<int>& cycle,
+             int64_t t_us);
+  /// Restarts every clock at `t_us` (start, and while an abort is pending).
+  void Rearm(const std::vector<BeaconSnapshot>& beacons, int64_t t_us);
+  /// Reports one verdict ("stall" or "deadlock") and acts on it
+  /// (on_failure_ or abort_on_stall).
+  void Confirm(const std::string& type, const std::string& detail,
+               const WaitForGraph& graph, int64_t t_us);
   void WriteSnapshotJson(const std::vector<BeaconSnapshot>& beacons,
                          const WaitForGraph& graph,
                          const std::vector<int>& cycle, int64_t t_us,
                          bool final_sample);
   void WriteIncidentJson(const std::string& type, const std::string& detail,
                          const WaitForGraph& graph, int64_t t_us);
-  void ReportIncident(const std::string& type, const std::string& detail,
-                      const WaitForGraph& graph, int64_t t_us);
 
   WatchdogOptions options_;
+  FailureFn on_failure_;
 
-  std::thread thread_;
-  /// Atomic: running() may be polled from any thread while Start()/Stop()
-  /// write it (was a plain bool; flagged by the annotation pass).
-  std::atomic<bool> running_{false};
+  std::thread thread_;  ///< joinable while running
   sy::Mutex stop_mu_;
   sy::CondVar stop_cv_;
   bool stop_requested_ SY_GUARDED_BY(stop_mu_) = false;
+  bool sampling_ SY_GUARDED_BY(stop_mu_) = false;
 
   std::ofstream jsonl_;
 
-  // Detection state (sampler thread only).
-  std::vector<int> prev_cycle_;
-  std::vector<uint64_t> prev_cycle_epochs_;
-  uint64_t last_progress_sum_ = 0;
-  int64_t last_progress_change_us_ = 0;
+  // Rule state (sampler thread only).
+  std::vector<WorkerClock> clocks_;
   bool stall_active_ = false;
+  StuckChain prev_chain_;
   bool deadlock_reported_ = false;
 
   WatchdogSummary summary_;

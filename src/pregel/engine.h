@@ -25,7 +25,6 @@
 #include "common/threading.h"
 #include "common/timer.h"
 #include "fault/fault.h"
-#include "fault/supervisor.h"
 #include "graph/graph.h"
 #include "graph/partitioning.h"
 #include "net/transport.h"
@@ -1066,7 +1065,7 @@ class Engine {
       transport_->Send(std::move(marker));
     }
     if (skip_ack_wait) return;
-    ScopedBlocked blocked(supervisor_.get(), worker.id);
+    BlockedSection blocked(worker.id);
     sy::MutexLock lock(&worker.ack_mu);
     if (!fault_active_) {
       while (worker.acks_pending != 0) worker.ack_cv.Wait(worker.ack_mu);
@@ -1075,18 +1074,16 @@ class Engine {
     // Under fault tolerance the confirmation may never arrive (the marker,
     // the ack, or the peer itself can be a casualty); wait in slices and
     // abandon the attempt once a failure has been detected.
-    while (worker.acks_pending != 0 && !AttemptAborted(worker)) {
+    while (worker.acks_pending != 0 && !AttemptAborted()) {
       worker.ack_cv.WaitFor(worker.ack_mu, std::chrono::milliseconds(20));
     }
   }
 
   /// True once this attempt cannot complete: a failure was detected
-  /// (supervisor / crash handler) or this very worker "died". Workers
-  /// poll this at superstep boundaries and in sliced waits to unwind.
-  bool AttemptAborted(const WorkerState& worker) const {
-    return attempt_failed_.load(std::memory_order_acquire) ||
-           // mo: death flag; read is advisory
-           worker_dead_[worker.id].load(std::memory_order_relaxed) != 0;
+  /// (FailAttempt; a crashing worker reports itself before it unwinds).
+  /// Workers poll this at superstep boundaries and in sliced waits.
+  bool AttemptAborted() const {
+    return attempt_failed_.load(std::memory_order_acquire);
   }
 
   // --- vertex execution ----------------------------------------------
@@ -1123,7 +1120,6 @@ class Engine {
                                const Program& program, VertexId v,
                                int superstep, PartitionRun& run) {
     if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
-    if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
     // BSP consumes a zero-copy span of the partition's flat buffer (no
     // lock); AP swaps the vertex's inbox with this per-thread scratch.
     thread_local std::vector<Message> scratch;
@@ -1250,11 +1246,11 @@ class Engine {
   /// once the attempt is aborted — the one abort poll of a fault run's
   /// vertex loop. Heartbeats come from ExecuteVertexIfEligible.
   template <typename Body>
-  void WalkCandidates(const WorkerState& worker, const PartitionStore& ps,
+  void WalkCandidates(const PartitionStore& ps,
                       const std::vector<VertexId>& vertices, bool full_scan,
                       Body&& body) {
     const auto visit = [&](VertexId v) {
-      return !(fault_active_ && AttemptAborted(worker)) && body(v);
+      return !(fault_active_ && AttemptAborted()) && body(v);
     };
     if (full_scan) {
       for (VertexId v : vertices) {
@@ -1287,7 +1283,7 @@ class Engine {
         // a broadcasting in-neighbor is eligible, but the broadcast was
         // captured, not stored, so no pending bit marks it. (A gather
         // sweeps every in-edge anyway, so a full scan is its shape.)
-        WalkCandidates(worker, ps, vertices, /*full_scan=*/gather_bcast_,
+        WalkCandidates(ps, vertices, /*full_scan=*/gather_bcast_,
                        execute);
         break;
       }
@@ -1295,7 +1291,7 @@ class Engine {
         // Full scan: under AP a sparse walk would also skip vertices
         // whose messages land after their bitmap word was read, which
         // changes the token schedule's executions.
-        WalkCandidates(worker, ps, vertices, /*full_scan=*/true,
+        WalkCandidates(ps, vertices, /*full_scan=*/true,
                        [&](VertexId v) {
                          // Without its token, v stays pending.
                          if (technique_->MayExecuteVertex(worker.id,
@@ -1310,21 +1306,21 @@ class Engine {
           skipped_partitions_->Increment();
           return;
         }
-        if (fault_active_ && AttemptAborted(worker)) return;
+        if (fault_active_ && AttemptAborted()) return;
         {
           SG_TRACE_SPAN("sync.fork_acquire");
           SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
           const int64_t t0 = Tracer::NowMicros();
           // Fork waits are legitimate long blocks; exempt them from the
-          // supervisor's runnable-worker timeout.
-          ScopedBlocked blocked(supervisor_.get(), worker.id);
+          // watchdog's hung-worker rule.
+          BlockedSection blocked(worker.id);
           const bool acquired = technique_->AcquirePartition(worker.id, p);
           RecordForkWait(worker, Tracer::NowMicros() - t0);
           if (!acquired) return;  // watchdog abort: lock NOT held
         }
         {
           PartitionGrant granted(concurrency_);
-          WalkCandidates(worker, ps, vertices, /*full_scan=*/false, execute);
+          WalkCandidates(ps, vertices, /*full_scan=*/false, execute);
         }
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
@@ -1341,7 +1337,7 @@ class Engine {
             SG_TRACE_SPAN("sync.fork_acquire");
             SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
             const int64_t t0 = Tracer::NowMicros();
-            ScopedBlocked blocked(supervisor_.get(), worker.id);
+            BlockedSection blocked(worker.id);
             const bool acquired = technique_->AcquireVertex(worker.id, v);
             RecordForkWait(worker, Tracer::NowMicros() - t0);
             if (!acquired) return false;  // watchdog abort: lock NOT held
@@ -1354,7 +1350,7 @@ class Engine {
           technique_->ReleaseVertex(worker.id, v);
           return true;
         };
-        WalkCandidates(worker, ps, vertices, /*full_scan=*/false,
+        WalkCandidates(ps, vertices, /*full_scan=*/false,
                        lock_and_execute);
         break;
       }
@@ -1730,7 +1726,7 @@ class Engine {
     if constexpr (kStaged) run.staging = AcquireStaging(worker);
     int idle_rounds = 0;
     for (;;) {
-      if (fault_active_ && AttemptAborted(worker)) break;
+      if (fault_active_ && AttemptAborted()) break;
       int64_t executed = 0;
       std::vector<VertexId> still_pending;
       for (VertexId v : pending) {
@@ -1778,7 +1774,7 @@ class Engine {
       AwaitBarrier(worker);
       // A broken barrier (failure detected) means the serial section may
       // never have run: leave via the abort flag, not via sub_stop_.
-      if (fault_active_ && AttemptAborted(worker)) break;
+      if (fault_active_ && AttemptAborted()) break;
       if (sub_stop_) break;
       if (!sub_executed_any_) {
         // No vertex anywhere was ready: fork traffic is still in flight
@@ -1817,11 +1813,11 @@ class Engine {
     fork_wait_hist_->Record(wait_us);
   }
 
-  /// Barrier await with the supervisor told this is a legitimate block
-  /// (exempt from the runnable-worker timeout). Returns false immediately
-  /// on a broken barrier (failure detected mid-attempt).
+  /// Barrier await marked as a legitimate block (exempt from the
+  /// watchdog's hung-worker rule; leaving it counts as progress). Returns
+  /// false immediately on a broken barrier (failure detected mid-attempt).
   bool AwaitBarrier(WorkerState& worker) {
-    ScopedBlocked blocked(supervisor_.get(), worker.id);
+    BlockedSection blocked(worker.id);
     return barrier_->Await();
   }
 
@@ -1858,12 +1854,11 @@ class Engine {
             std::chrono::microseconds(options_.superstep_overhead_us));
       }
       if (probes_active_) {
-        if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
         // A fired crash/hang returns true: this worker "dies" here. The
-        // crash handler has already told the supervisor, which breaks the
+        // crash handler has already failed the attempt, which breaks the
         // barrier so the surviving workers unwind too.
         if (SG_FAULT_POINT("engine.superstep_start", worker.id)) break;
-        if (AttemptAborted(worker)) break;
+        if (AttemptAborted()) break;
       }
       technique_->OnSuperstepStart(worker.id, superstep);
       if (Introspector::enabled()) {
@@ -1884,9 +1879,8 @@ class Engine {
         sample.compute_us = Tracer::NowMicros() - t0;
       }
       if (probes_active_) {
-        if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
         if (SG_FAULT_POINT("engine.post_compute", worker.id)) break;
-        if (AttemptAborted(worker)) break;
+        if (AttemptAborted()) break;
       }
       {
         SG_TRACE_SPAN("engine.flush_acks");
@@ -1902,7 +1896,7 @@ class Engine {
       }
       if (probes_active_) {
         if (SG_FAULT_POINT("engine.pre_barrier", worker.id)) break;
-        if (AttemptAborted(worker)) break;
+        if (AttemptAborted()) break;
       }
 
       if (Introspector::enabled()) {
@@ -1962,11 +1956,7 @@ class Engine {
         stop_.store(stop, std::memory_order_release);
       }
       TimedAwait(worker, &barrier_us);  // B3: decision visible
-      if (fault_active_ && AttemptAborted(worker)) break;
-      if (Introspector::enabled()) {
-        // Superstep completion is global progress even if no vertex ran.
-        Introspector::Get().OnProgress(worker.id);
-      }
+      if (fault_active_ && AttemptAborted()) break;
       sample.barrier_wait_us = barrier_us;
       barrier_wait_hist_->Record(barrier_us);
       sample.fork_wait_us =  // mo: per-superstep stat
@@ -2085,6 +2075,8 @@ class Engine {
   /// Set (only inside barrier serial sections) when the watchdog's abort
   /// request was honored; Run() then returns Status::Aborted.
   bool aborted_ = false;
+  /// The run's one monitor (introspect or fault runs), started before the
+  /// first attempt's workers and stopped when Run() ends.
   std::unique_ptr<Watchdog> watchdog_;
   std::string last_checkpoint_path_;
 
@@ -2097,38 +2089,39 @@ class Engine {
   }
 
   /// Injected-crash handler, invoked by the FaultInjector on the dying
-  /// worker's own thread with no injector lock held. Marks the worker
-  /// dead and routes detection through the supervisor (immediate).
+  /// worker's own thread with no injector lock held.
   void OnWorkerCrash(int worker, const char* point) {
-    if (worker >= 0 && worker < static_cast<int>(worker_dead_.size())) {
-      // mo: death flag; read is advisory
-      worker_dead_[worker].store(1, std::memory_order_relaxed);
-    }
-    if (supervisor_ != nullptr) {
-      supervisor_->ReportDeath(worker, std::string("worker ") +
-                                           std::to_string(worker) +
-                                           " crashed at " + point);
-    }
+    Introspector::Get().MarkDead(worker);
+    FailAttempt("worker " + std::to_string(worker) + " crashed at " + point);
   }
 
-  /// First-failure callback from the supervisor (monitor thread, or the
-  /// dying worker's thread via ReportDeath). Poisons the attempt and
-  /// unblocks every wait a worker could be parked in: barrier (Break),
-  /// fork acquisition (introspector abort), injected hangs
+  /// The one failure path of a fault run, called on the reporting thread:
+  /// a crash (the dying worker), a link-sequence gap or a protocol
+  /// violation (comm threads), a watchdog verdict (its sampler). The
+  /// first failure of an attempt wins; reports after its teardown started
+  /// are dropped. Poisons the attempt and unblocks every wait: barrier
+  /// (Break), fork acquisition (introspector abort), injected hangs
   /// (ReleaseHangs), ack waits (sliced, poll the flag).
-  void OnWorkerFailure(const FailureReport& report) {
+  void FailAttempt(const std::string& reason) {
     {
       sy::MutexLock lock(&recovery_mu_);
-      failure_reason_ = report.reason;
-      recovery_events_.push_back("failure detected: " + report.reason);
+      if (!accepting_failures_ ||
+          attempt_failed_.load(std::memory_order_acquire)) {
+        return;
+      }
+      attempt_failed_.store(true, std::memory_order_release);
+      failure_reason_ = reason;
+      recovery_events_.push_back("failure detected: " + reason);
     }
+    SG_LOG(kWarning) << "worker failure: " << reason;
     worker_failures_->Increment();
-    attempt_failed_.store(true, std::memory_order_release);
-    if (Introspector::enabled()) {
-      Introspector::Get().RequestAbort(report.reason);
-    }
+    Introspector::Get().RequestAbort(reason);
     if (FaultInjector::armed()) FaultInjector::Get().ReleaseHangs();
     barrier_->Break();
+    // Degraded until an attempt finishes cleanly; "supervisor" names the
+    // failure channel on /healthz and in bundle triggers.
+    Tracer::RecordInstant("engine.failure");
+    TriggerIncidentDump("supervisor", reason, HealthLevel::kDegraded);
   }
 
   /// True when this run needs failure detection (plan armed or recovery
@@ -2137,16 +2130,17 @@ class Engine {
   bool fault_active_ = false;
   /// Superset of fault_active_: also true under a serichk scheduler, so
   /// the SG_FAULT_POINT probes in WorkerLoop fire as schedule points
-  /// without arming the fault machinery (no supervisor, no introspector).
+  /// without arming the fault machinery (no watchdog, no introspector).
   bool probes_active_ = false;
-  /// Poisons the current attempt; set by OnWorkerFailure.
+  /// Poisons the current attempt; set by FailAttempt (under recovery_mu_,
+  /// read lock-free by the workers' abort polls).
   std::atomic<bool> attempt_failed_{false};
-  /// Per-worker death marks (injected crashes), reset every attempt.
-  std::vector<std::atomic<uint8_t>> worker_dead_;
-  std::unique_ptr<Supervisor> supervisor_;
   /// Guards the recovery bookkeeping written from failure callbacks and
   /// read by the driver between attempts. Leaf (docs/LOCK_ORDER.md).
   mutable sy::Mutex recovery_mu_;
+  /// True while the current attempt runs: FailAttempt drops reports
+  /// outside that window.
+  bool accepting_failures_ SY_GUARDED_BY(recovery_mu_) = false;
   std::string failure_reason_ SY_GUARDED_BY(recovery_mu_);
   std::vector<std::string> recovery_events_ SY_GUARDED_BY(recovery_mu_);
   /// Completed restore-and-resume cycles (driver thread only).
@@ -2383,10 +2377,35 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
         [] { return FaultInjector::Get().fired_log(); });
   }
 
-  // The introspector doubles as the abort channel that unblocks fork
-  // acquisition waits, so fault-tolerant runs force it on even without
-  // options_.introspect (the watchdog stays opt-in).
-  const bool use_introspector = options_.introspect || fault_active_;
+  // One monitor per run (beacons, the abort channel that unblocks fork
+  // waits, the watchdog), also for fault runs, whose verdicts then fail
+  // the attempt. The guard stops it on every exit path.
+  const bool monitored = options_.introspect || fault_active_;
+  struct MonitorGuard {
+    Watchdog* watchdog = nullptr;
+    ~MonitorGuard() {
+      if (watchdog == nullptr) return;
+      watchdog->Stop();
+      Introspector::Get().Disable();
+    }
+  } monitor_guard;
+  if (monitored) {
+    const SyncMode mode = options_.sync_mode;
+    Introspector::Get().Configure(
+        num_workers,
+        mode == SyncMode::kPartitionLocking ? "partition"
+        : mode == SyncMode::kVertexLocking ||
+                mode == SyncMode::kConstrainedBspLocking
+            ? "vertex"
+            : "worker");
+    Introspector::Get().Enable();
+    Watchdog::FailureFn on_failure;
+    if (fault_active_) {
+      on_failure = [this](const std::string& reason) { FailAttempt(reason); };
+    }
+    watchdog_ = std::make_unique<Watchdog>(options_.watchdog, on_failure);
+    monitor_guard.watchdog = watchdog_.get();
+  }
   double total_seconds = 0.0;
   std::string abort_reason;
 
@@ -2394,8 +2413,6 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   // --- failure restore from the last good frame and resume
   // --- (docs/FAULT_TOLERANCE.md) --------------------------------------
   for (;;) {
-    attempt_failed_.store(false, std::memory_order_release);
-    worker_dead_ = std::vector<std::atomic<uint8_t>>(num_workers);
     stop_.store(false, std::memory_order_release);
     sub_stop_ = false;
     // mo: reset pre-spawn; thread start orders it
@@ -2422,14 +2439,13 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     if (fault_active_) {
       // A dropped control message can leave the fork protocol in a state
       // its invariants reject (e.g. a request for a fork whose transfer
-      // vanished) *before* the link-sequence gap surfaces. Route such
-      // violations to the supervisor as an immediate recoverable failure
-      // instead of letting the technique's fatal checks kill the process.
+      // vanished) *before* the link-sequence gap surfaces. Report such
+      // violations as an immediate recoverable failure instead of letting
+      // the technique's fatal checks kill the process.
       tech_ctx.on_protocol_violation = [this](WorkerId w,
                                               const std::string& what) {
-        if (supervisor_ != nullptr) {
-          supervisor_->ReportProtocolViolation(w, what);
-        }
+        FailAttempt("protocol violation on worker " + std::to_string(w) +
+                    ": " + what);
       };
     }
     SERIGRAPH_RETURN_IF_ERROR(technique_->Init(tech_ctx));
@@ -2437,15 +2453,16 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     transport_ = std::make_unique<Transport>(num_workers, options_.network,
                                              &metrics_);
     if (fault_active_) {
-      // Loss reports (link sequence gaps) route to the supervisor; set
-      // before any comm thread runs. The supervisor ignores reports
-      // after Stop(), so gaps noticed while draining a clean teardown
-      // cannot fail a finished attempt.
+      // Loss reports (link sequence gaps), set before any comm thread
+      // runs. FailAttempt ignores reports once the teardown started, so
+      // gaps noticed while draining a clean teardown cannot fail a
+      // finished attempt.
       transport_->SetLossCallback([this](WorkerId src, WorkerId dst,
                                          uint64_t expected, uint64_t got) {
-        if (supervisor_ != nullptr) {
-          supervisor_->ReportLoss(src, dst, expected, got);
-        }
+        FailAttempt("message loss on link " + std::to_string(src) + "->" +
+                    std::to_string(dst) + " (expected seq " +
+                    std::to_string(expected) + ", got " +
+                    std::to_string(got) + ")");
       });
     }
 
@@ -2548,43 +2565,32 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     for (auto& worker : workers_) {
       technique_->BindWorker(worker->id, worker.get());
     }
-    if (fault_active_) {
-      supervisor_ = std::make_unique<Supervisor>(
-          num_workers, options_.fault.supervisor,
-          [this](const FailureReport& report) { OnWorkerFailure(report); });
+    if (monitored) {
+      Introspector& in = Introspector::Get();
+      in.SetProbes(
+          [this](WorkerId w, int64_t* inbox_depth, int64_t* outbox_bytes) {
+            *inbox_depth = transport_->InboxDepth(w);
+            int64_t bytes = 0;
+            for (const auto& out : workers_[w]->out) {
+              sy::MutexLock lock(&out->mu);
+              bytes += static_cast<int64_t>(out->writer.size());
+            }
+            *outbox_bytes = bytes;
+          },
+          [this] { return technique_->FindStuckChain(); });
+      in.BeginAttempt();
+    }
+    {
+      sy::MutexLock lock(&recovery_mu_);
+      attempt_failed_.store(false, std::memory_order_release);
+      accepting_failures_ = true;
     }
     for (auto& worker : workers_) {
       WorkerState* ws = worker.get();
       ws->comm_thread = std::thread([this, ws] { CommLoop(*ws); });
     }
-
-    if (use_introspector) {
-      Introspector& in = Introspector::Get();
-      const char* kind =
-          granularity_ == SyncTechnique::Granularity::kPartitionLock
-              ? "partition"
-              : (granularity_ == SyncTechnique::Granularity::kVertexLock ||
-                 granularity_ == SyncTechnique::Granularity::kBspVertexLock)
-                    ? "vertex"
-                    : "worker";
-      in.Configure(num_workers, kind);
-      in.SetQueueProbe([this](WorkerId w, int64_t* inbox_depth,
-                              int64_t* outbox_bytes) {
-        *inbox_depth = transport_->InboxDepth(w);
-        int64_t bytes = 0;
-        for (const auto& out : workers_[w]->out) {
-          sy::MutexLock lock(&out->mu);
-          bytes += static_cast<int64_t>(out->writer.size());
-        }
-        *outbox_bytes = bytes;
-      });
-      in.Enable();
-      if (options_.introspect) {
-        watchdog_ = std::make_unique<Watchdog>(options_.watchdog);
-        watchdog_->Start();
-      }
-    }
-    if (supervisor_ != nullptr) supervisor_->Start();
+    // Once per run: later attempts find it running.
+    if (watchdog_ != nullptr) watchdog_->Start();
 
     // --- computation phase --------------------------------------------
     WallTimer timer;
@@ -2601,17 +2607,17 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     total_seconds += timer.ElapsedSeconds();
 
     // --- attempt teardown ---------------------------------------------
-    // Supervisor first (worker threads are joined, so no failure report
-    // can be mid-flight except from comm threads — which Stop() makes
-    // no-ops). Then the watchdog, before the transport dies: its final
-    // sample probes the transport's inbox depths via the queue probe.
-    if (supervisor_ != nullptr) supervisor_->Stop();
-    if (use_introspector) {
-      if (watchdog_ != nullptr) watchdog_->Stop();
+    // Close failure reporting, wait out a verdict the watchdog may still
+    // be acting on, and clear the probes before their objects die.
+    {
+      sy::MutexLock lock(&recovery_mu_);
+      accepting_failures_ = false;
+    }
+    if (monitored) {
+      watchdog_->Quiesce();
       Introspector& in = Introspector::Get();
       abort_reason = in.abort_reason();
-      in.ClearQueueProbe();
-      in.Disable();
+      in.ClearProbes();
     }
     transport_->Shutdown();
     for (auto& worker : workers_) {
@@ -2620,9 +2626,13 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     }
 
     if (!attempt_failed_.load(std::memory_order_acquire)) {
-      // A clean finish absorbs earlier failures: recovery worked, so the
-      // degraded mark the supervisor raised no longer describes us.
-      HealthState::Get().ClearComponent("supervisor");
+      // A clean finish absorbs earlier failures: recovery worked.
+      if (fault_active_) {
+        for (const char* component :
+             {"supervisor", "watchdog-stall", "watchdog-deadlock"}) {
+          HealthState::Get().ClearComponent(component);
+        }
+      }
       break;
     }
 
@@ -2666,6 +2676,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
                      std::to_string(options_.fault.max_recovery_attempts));
   }
 
+  if (watchdog_ != nullptr) watchdog_->Stop();
   if (aborted_) {
     const std::string reason = abort_reason.empty()
                                    ? "run aborted by introspection watchdog"
@@ -2689,7 +2700,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   result.stats.metrics = metrics_.Snapshot();
   result.stats.metrics["pregel.supersteps"] = supersteps_done_;
   result.stats.timeline = timeline_->Collect();
-  if (watchdog_ != nullptr) {
+  if (options_.introspect) {
     const WatchdogSummary& wd = watchdog_->summary();
     result.stats.resource_kind = Introspector::Get().resource_kind();
     result.stats.contention = wd.top_contention;

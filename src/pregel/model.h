@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "fault/supervisor.h"
 #include "net/transport.h"
 #include "obs/memprof.h"
 #include "obs/timeline.h"
@@ -38,10 +37,11 @@ enum class PartitionScheme {
 
 /// Fault injection + in-engine recovery configuration
 /// (docs/FAULT_TOLERANCE.md). `plan` arms the process-wide FaultInjector
-/// for the duration of the run; `recover` turns on the heartbeat
-/// supervisor and the engine's restore-and-resume loop. Either one
-/// activates failure detection; with neither, the engine adds zero
-/// overhead (one disarmed atomic load per probe).
+/// for the duration of the run; `recover` turns on the engine's
+/// restore-and-resume loop. Either one activates failure detection (the
+/// watchdog's hung rule, thresholds in EngineOptions::watchdog); with
+/// neither, the engine adds zero overhead (one disarmed atomic load per
+/// probe).
 struct FaultToleranceOptions {
   /// Events to inject, reproducible from the plan text alone.
   FaultPlan plan;
@@ -58,8 +58,6 @@ struct FaultToleranceOptions {
   /// Bounded retry + backoff for checkpoint writes (satellite of the
   /// previously-swallowed WriteCheckpoint failure).
   RetryPolicy checkpoint_retry;
-  /// Heartbeat supervisor thresholds.
-  SupervisorOptions supervisor;
 
   /// True when the run needs failure detection at all.
   bool Active() const { return recover || !plan.empty(); }
@@ -159,10 +157,12 @@ struct EngineOptions {
   /// Runtime introspection (obs/introspect.h): per-worker state beacons,
   /// a background watchdog sampling wait-for-graph snapshots, and a
   /// fork-contention profile in RunStats. Off by default; when off the
-  /// hooks cost one relaxed atomic load each.
+  /// hooks cost one relaxed atomic load each. Fault runs
+  /// (fault.Active()) turn the beacons and the watchdog on by themselves.
   bool introspect = false;
-  /// Watchdog configuration (sampling period, stall threshold, JSONL
-  /// event-log path, opt-in stall abort). Used only when `introspect`.
+  /// The run monitor's configuration (sampling period, hung and stall
+  /// thresholds, JSONL event-log path, opt-in stall abort). Used when
+  /// `introspect` or fault.Active().
   WatchdogOptions watchdog;
 
   /// Stream one JSONL line per superstep (superstep, active vertices,

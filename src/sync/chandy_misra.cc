@@ -1,6 +1,8 @@
 #include "sync/chandy_misra.h"
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 
 #include "common/logging.h"
 #include "common/planted.h"
@@ -78,6 +80,7 @@ bool ChandyMisraTable::Acquire(PhilosopherId p) {
   SG_CHECK(phil.state == State::kThinking);
   phil.state = State::kHungry;
   phil.missing_forks = 0;
+  ++phil.version;
   const bool introspect = Introspector::enabled();
   Introspector::WaitTarget targets[Introspector::kMaxWaitTargets];
   int num_targets = 0;
@@ -97,16 +100,17 @@ bool ChandyMisraTable::Acquire(PhilosopherId p) {
     // token away earlier and the fork will arrive eventually.
   }
   const WorkerId self = config_.worker_of(p);
-  if (introspect && phil.missing_forks == 0) {
-    Introspector::Get().OnProgress(self);
-  }
   // Wait until all forks are held. The generous timeout is a test-friendly
   // deadlock detector; the protocol itself is deadlock-free.
-  const bool timed = phil.missing_forks > 0 && (introspect || Tracer::enabled());
+  const bool blocks = phil.missing_forks > 0;
+  const bool timed = blocks && (introspect || Tracer::enabled());
   const int64_t wait_start_us = timed ? Tracer::NowMicros() : -1;
-  if (introspect && phil.missing_forks > 0) {
-    Introspector::Get().BeginAcquire(self, p, targets, num_targets,
-                                     phil.missing_forks);
+  if (blocks) {
+    shard.waiting.push_back(p);
+    if (introspect) {
+      Introspector::Get().BeginAcquire(self, p, targets, num_targets,
+                                       phil.missing_forks);
+    }
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(300);
@@ -121,9 +125,12 @@ bool ChandyMisraTable::Acquire(PhilosopherId p) {
         // Abandon the acquisition: back to thinking, forks not held.
         // Outstanding requested forks may still arrive; OnTransfer only
         // decrements missing_forks for hungry philosophers, so the late
-        // arrivals are absorbed safely.
+        // arrivals are absorbed safely (and stay clean: the watchdog
+        // confirms nothing while the abort is pending).
         phil.state = State::kThinking;
         phil.missing_forks = 0;
+        ++phil.version;
+        std::erase(shard.waiting, p);
         in.EndAcquire(self, p, Tracer::NowMicros() - wait_start_us,
                       /*acquired=*/false);
         return false;
@@ -147,7 +154,9 @@ bool ChandyMisraTable::Acquire(PhilosopherId p) {
       Introspector::Get().EndAcquire(self, p, waited, /*acquired=*/true);
     }
   }
+  if (blocks) std::erase(shard.waiting, p);
   phil.state = State::kEating;
+  ++phil.version;
   return true;
 }
 
@@ -157,6 +166,7 @@ void ChandyMisraTable::Release(PhilosopherId p) {
   Philosopher& phil = shard.philosophers[p];
   SG_CHECK(phil.state == State::kEating);
   phil.state = State::kThinking;
+  ++phil.version;
   for (auto& [q, bits] : phil.edges) {
     if ((bits & kHasFork) != 0) {
       bits |= kDirty;  // forks were used to eat
@@ -184,6 +194,7 @@ void ChandyMisraTable::RequestMissingForks(PhilosopherId p) {
   WorkerShard& shard = ShardOf(p);
   sy::MutexLock lock(&shard.mu);
   Philosopher& phil = shard.philosophers[p];
+  ++phil.version;
   for (auto& [q, bits] : phil.edges) {
     if ((bits & kHasFork) != 0 || (bits & kHasToken) == 0) continue;
     bits &= ~kHasToken;
@@ -196,6 +207,7 @@ void ChandyMisraTable::MarkEaten(PhilosopherId p) {
   sy::MutexLock lock(&shard.mu);
   Philosopher& phil = shard.philosophers[p];
   SG_CHECK(phil.state == State::kThinking);
+  ++phil.version;
   for (auto& [q, bits] : phil.edges) {
     if ((bits & kHasFork) == 0) continue;
     bits |= kDirty;
@@ -266,6 +278,7 @@ void ChandyMisraTable::OnRequest(WorkerShard& shard, PhilosopherId from,
     if ((bits & kHasToken) != 0 || (bits & kHasFork) == 0) {
       consistent = false;
     } else {
+      ++phil.version;
       bits |= kHasToken;
       const bool dirty = (bits & kDirty) != 0;
       if (phil.state == State::kEating || !dirty) {
@@ -304,6 +317,7 @@ void ChandyMisraTable::OnTransfer(WorkerShard& shard, PhilosopherId from,
         (phil.state == State::kHungry && phil.missing_forks <= 0)) {
       consistent = false;
     } else {
+      ++phil.version;
       bits |= kHasFork;   // forks always arrive clean
       bits &= ~kDirty;
       if (phil.state == State::kHungry) {
@@ -315,6 +329,82 @@ void ChandyMisraTable::OnTransfer(WorkerShard& shard, PhilosopherId from,
     }
   }
   if (!consistent) ReportViolation(from, to, "fork transfer");
+}
+
+StuckChain ChandyMisraTable::FindStuckChain() {
+  struct Blocked {
+    uint64_t version = 0;
+    PhilosopherId next = -1;  ///< hungry holder keeping a fork it misses
+    PhilosopherId end = -1;   ///< thinking holder keeping one
+    uint64_t end_version = 0;
+  };
+  // Pass 1: the blocked philosophers and their missing forks, the latter
+  // grouped by the shard of the holder.
+  std::map<PhilosopherId, Blocked> blocked;
+  std::vector<std::vector<std::pair<PhilosopherId, PhilosopherId>>> asks(
+      shards_.size());
+  for (auto& shard : shards_) {
+    sy::MutexLock lock(&shard->mu);
+    for (PhilosopherId p : shard->waiting) {
+      const Philosopher& phil = shard->philosophers[p];
+      blocked[p].version = phil.version;
+      for (const auto& [q, bits] : phil.edges) {
+        if ((bits & kHasFork) == 0) {
+          asks[config_.worker_of(q)].emplace_back(p, q);
+        }
+      }
+    }
+  }
+  // Pass 2: holder q keeps the fork p misses if it holds fork and request
+  // token (nothing in flight) with the fork clean, and is hungry (it has
+  // priority) or thinking (it will not eat to free it). A hungry q counts
+  // only if pass 1 saw it at the same version.
+  for (size_t w = 0; w < asks.size(); ++w) {
+    if (asks[w].empty()) continue;
+    sy::MutexLock lock(&shards_[w]->mu);
+    for (const auto& [p, q] : asks[w]) {
+      const Philosopher& holder = shards_[w]->philosophers[q];
+      if ((holder.edges.at(p) & (kHasFork | kHasToken | kDirty)) !=
+          (kHasFork | kHasToken)) {
+        continue;
+      }
+      Blocked& from = blocked[p];
+      if (holder.state == State::kThinking && from.end < 0) {
+        from.end = q;
+        from.end_version = holder.version;
+      } else if (holder.state == State::kHungry && from.next < 0) {
+        const auto it = blocked.find(q);
+        if (it != blocked.end() && it->second.version == holder.version) {
+          from.next = q;
+        }
+      }
+    }
+  }
+  // Follow the chain from each blocked philosopher, lowest id first, to a
+  // thinking holder or back onto itself.
+  for (const auto& entry : blocked) {
+    StuckChain chain;
+    for (PhilosopherId p = entry.first; p >= 0; p = blocked[p].next) {
+      auto& ids = chain.philosophers;
+      const auto seen = std::find(ids.begin(), ids.end(), p);
+      if (seen != ids.end()) {
+        chain.versions.erase(chain.versions.begin(),
+                             chain.versions.begin() + (seen - ids.begin()));
+        ids.erase(ids.begin(), seen);
+        chain.cycle = true;
+        return chain;
+      }
+      const Blocked& node = blocked[p];
+      ids.push_back(p);
+      chain.versions.push_back(node.version);
+      if (node.end >= 0) {
+        ids.push_back(node.end);
+        chain.versions.push_back(node.end_version);
+        return chain;
+      }
+    }
+  }
+  return {};
 }
 
 void ChandyMisraTable::ReportViolation(PhilosopherId from, PhilosopherId to,

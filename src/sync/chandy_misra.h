@@ -11,6 +11,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/waitfor.h"
 #include "sync/technique.h"
 
 namespace serigraph {
@@ -111,6 +112,12 @@ class ChandyMisraTable {
   /// Number of shared forks (edges in the philosopher adjacency).
   int64_t num_forks() const { return num_forks_; }
 
+  /// The watchdog's read-only deadlock probe: a StuckChain (obs/waitfor.h)
+  /// of philosophers blocked in Acquire, or empty. Reads only the blocked
+  /// philosophers and the holders of their missing forks, one shard lock
+  /// at a time.
+  StuckChain FindStuckChain();
+
  private:
   enum class State : uint8_t { kThinking = 0, kHungry = 1, kEating = 2 };
 
@@ -122,6 +129,9 @@ class ChandyMisraTable {
   struct Philosopher {
     State state = State::kThinking;
     int missing_forks = 0;
+    /// Bumped on every change to `state` or the edge bits, so equal
+    /// versions across two probes mean the philosopher did not move.
+    uint64_t version = 0;
     /// neighbor id -> state byte.
     std::unordered_map<PhilosopherId, uint8_t> edges;
   };
@@ -133,6 +143,9 @@ class ChandyMisraTable {
     sy::CondVar cv;
     std::unordered_map<PhilosopherId, Philosopher> philosophers
         SY_GUARDED_BY(mu);
+    /// Philosophers blocked in Acquire (at most one per compute thread):
+    /// the only ones FindStuckChain starts from.
+    std::vector<PhilosopherId> waiting SY_GUARDED_BY(mu);
     WorkerHandle* handle SY_GUARDED_BY(mu) = nullptr;
   };
 

@@ -29,6 +29,7 @@ class PartitionBasedLocking final : public SyncTechnique {
   bool AcquirePartition(WorkerId w, PartitionId p) override;
   void ReleasePartition(WorkerId w, PartitionId p) override;
   void HandleControl(WorkerId w, const WireMessage& msg) override;
+  StuckChain FindStuckChain() override { return table_->FindStuckChain(); }
 
   /// Number of forks (distinct neighboring-partition pairs); the paper's
   /// O(|P|^2) bound. Valid after Init.
@@ -58,6 +59,7 @@ class VertexBasedLocking final : public SyncTechnique {
   bool AcquireVertex(WorkerId w, VertexId v) override;
   void ReleaseVertex(WorkerId w, VertexId v) override;
   void HandleControl(WorkerId w, const WireMessage& msg) override;
+  StuckChain FindStuckChain() override { return table_->FindStuckChain(); }
 
   /// Number of forks (= undirected edges). Valid after Init.
   int64_t num_forks() const { return table_->num_forks(); }

@@ -10,6 +10,7 @@
 #include "graph/graph.h"
 #include "graph/partitioning.h"
 #include "net/message.h"
+#include "obs/waitfor.h"
 
 namespace serigraph {
 
@@ -158,6 +159,11 @@ class SyncTechnique {
     (void)w;
     (void)msg;
   }
+
+  /// The watchdog's deadlock probe: the fork table's stuck chain
+  /// (ChandyMisraTable::FindStuckChain) for the techniques that block in
+  /// Acquire; empty for the others. Called from the sampling thread.
+  virtual StuckChain FindStuckChain() { return {}; }
 
   // kBspVertexLock only (Proposition 1); called between sub-superstep
   // barriers, never concurrently with a neighbor's execution.

@@ -35,8 +35,8 @@ EngineOptions ChaosOptions(SyncMode mode, uint64_t seed) {
   opts.fault.plan = FaultPlan::Random(seed, kWorkers);
   opts.fault.recover = true;
   opts.fault.recovery_backoff_ms = 1;
-  opts.fault.supervisor.heartbeat_timeout_ms = 1200;
-  opts.fault.supervisor.global_stall_timeout_ms = 3500;
+  opts.watchdog.heartbeat_timeout_ms = 1200;
+  opts.watchdog.stall_ms = 3500;
   opts.max_supersteps = 20000;
   return opts;
 }

@@ -181,8 +181,8 @@ EngineOptions FaultOptions(SyncMode mode) {
   opts.fault.recover = true;
   opts.fault.recovery_backoff_ms = 1;
   // Keep detection fast so hang/stall tests do not dominate suite time.
-  opts.fault.supervisor.heartbeat_timeout_ms = 1500;
-  opts.fault.supervisor.global_stall_timeout_ms = 4000;
+  opts.watchdog.heartbeat_timeout_ms = 1500;
+  opts.watchdog.stall_ms = 4000;
   opts.max_supersteps = 20000;
   return opts;
 }
@@ -260,7 +260,7 @@ TEST(CrashRecoveryTest, HangedWorkerIsDetectedAndRecovered) {
   const std::vector<int64_t> expected =
       SsspBaseline(graph, SyncMode::kPartitionLocking);
   EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
-  opts.fault.supervisor.heartbeat_timeout_ms = 600;
+  opts.watchdog.heartbeat_timeout_ms = 600;
   FaultEvent hang;
   hang.action = FaultAction::kHang;
   hang.point = "engine.post_compute";
@@ -382,8 +382,8 @@ TEST(WireFaultTest, DroppedMessagesTriggerRecoveryToFixpoint) {
   const std::vector<int64_t> expected =
       SsspBaseline(graph, SyncMode::kPartitionLocking);
   EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
-  opts.fault.supervisor.heartbeat_timeout_ms = 1000;
-  opts.fault.supervisor.global_stall_timeout_ms = 2500;
+  opts.watchdog.heartbeat_timeout_ms = 1000;
+  opts.watchdog.stall_ms = 2500;
   FaultEvent drop;
   drop.action = FaultAction::kDrop;
   drop.hit = 5;
@@ -436,14 +436,14 @@ TEST(WireFaultTest, DelaySpikesOnlySlowTheRunDown) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor calibration: a merely-slow worker is not a failure.
+// Watchdog calibration: a merely-slow worker is not hung.
 
-TEST(SupervisorTest, SlowWorkerIsNotAFalsePositive) {
+TEST(HeartbeatTest, SlowWorkerIsNotAFalsePositive) {
   Graph graph = TestGraph();
   EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
   opts.fault.plan.events.clear();           // no injected faults
   opts.superstep_overhead_us = 120000;      // 120 ms of dead time/superstep
-  opts.fault.supervisor.heartbeat_timeout_ms = 600;
+  opts.watchdog.heartbeat_timeout_ms = 600;
   Engine<Sssp> engine(&graph, opts);
   auto result = engine.Run(Sssp(0));
   ASSERT_TRUE(result.ok()) << result.status();

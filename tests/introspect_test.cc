@@ -1,8 +1,11 @@
 // Tests for the sync-layer introspection subsystem: wait-for graph cycle
-// detection, beacon publication, contention attribution, the stall/deadlock
-// watchdog, JSONL streaming, the abort channel through ChandyMisraTable,
-// and end-to-end engine integration. The beacon concurrency test is the
-// TSan guard for the lock-free beacon design.
+// detection, beacon publication, contention attribution, the watchdog's
+// stall and fork-table deadlock rules (no confirmation for a wait on an
+// eating philosopher; confirmation of the planted clean-fork deadlock on
+// real threads), JSONL streaming, the abort channel through
+// ChandyMisraTable, and end-to-end engine integration, including a digest
+// that spans recovery attempts. The beacon concurrency test is the TSan
+// guard for the lock-free beacon design.
 
 #include "obs/introspect.h"
 
@@ -17,6 +20,8 @@
 #include <vector>
 
 #include "algos/sssp.h"
+#include "common/planted.h"
+#include "fault/fault.h"
 #include "graph/generators.h"
 #include "net/transport.h"
 #include "obs/watchdog.h"
@@ -199,14 +204,16 @@ TEST(IntrospectorTest, QueueProbeFillsBeaconDepths) {
   IntrospectorGuard guard;
   Reconfigure(1);
   Introspector& in = Introspector::Get();
-  in.SetQueueProbe([](WorkerId w, int64_t* inbox, int64_t* outbox) {
-    *inbox = 4 + w;
-    *outbox = 1024;
-  });
+  in.SetProbes(
+      [](WorkerId w, int64_t* inbox, int64_t* outbox) {
+        *inbox = 4 + w;
+        *outbox = 1024;
+      },
+      nullptr);
   BeaconSnapshot snap = in.ReadBeacon(0);
   EXPECT_EQ(snap.inbox_depth, 4);
   EXPECT_EQ(snap.outbox_bytes, 1024);
-  in.ClearQueueProbe();
+  in.ClearProbes();
   snap = in.ReadBeacon(0);
   EXPECT_EQ(snap.inbox_depth, 0);
 }
@@ -265,6 +272,33 @@ TEST(IntrospectorTest, BeaconConcurrencyIsRaceFree) {
   EXPECT_GT(in.ContentionTopK(1).size(), 0u);
 }
 
+// Minimal WorkerHandle that loops control messages through a Transport,
+// mirroring tests/chandy_misra_test.cc.
+class LoopbackHandle final : public WorkerHandle {
+ public:
+  LoopbackHandle(Transport* transport, WorkerId id)
+      : transport_(transport), id_(id) {}
+  void FlushRemoteTo(WorkerId) override {}
+  void FlushAllRemote() override {}
+  void SendControl(WorkerId dst, uint32_t tag, int64_t a, int64_t b,
+                   int64_t c) override {
+    WireMessage msg;
+    msg.src = id_;
+    msg.dst = dst;
+    msg.kind = MessageKind::kControl;
+    msg.tag = tag;
+    msg.a = a;
+    msg.b = b;
+    msg.c = c;
+    transport_->Send(std::move(msg));
+  }
+  WorkerId worker_id() const override { return id_; }
+
+ private:
+  Transport* transport_;
+  WorkerId id_;
+};
+
 // --- watchdog ------------------------------------------------------------
 
 TEST(WatchdogTest, FlagsStallWhenBlockedWithoutProgress) {
@@ -295,34 +329,113 @@ TEST(WatchdogTest, FlagsStallWhenBlockedWithoutProgress) {
   EXPECT_FALSE(in.abort_requested());  // abort_on_stall off
 }
 
-TEST(WatchdogTest, ConfirmsPlantedDeadlockAndAborts) {
+// Two workers, each blocked on the other worker's *eating* philosopher.
+// The beacons show the worker cycle w0 <-> w1 for as long as the eaters
+// eat, and nobody progresses; but each missing fork sits at an eater,
+// which yields it on release. The fork-table rule must confirm nothing,
+// and both acquires must complete once the eaters release.
+TEST(WatchdogTest, WaitOnEatingPhilosophersIsNotADeadlock) {
   IntrospectorGuard guard;
-  Reconfigure(2);
+  Reconfigure(2, "vertex");
   Introspector& in = Introspector::Get();
-  // Planted wait-for cycle with frozen progress epochs: worker 0 waits on
-  // a fork owned by worker 1 and vice versa. Chandy-Misra cannot produce
-  // this; the watchdog must report it as a protocol bug within two
-  // consecutive samples and (abort_on_stall) request a clean abort.
-  WaitTarget t0{7, 1};
-  in.BeginAcquire(0, 3, &t0, 1, 1);
-  WaitTarget t1{3, 0};
-  in.BeginAcquire(1, 7, &t1, 1, 1);
+
+  // Philosophers 0 and 3 on w0, 1 and 2 on w1; forks (0,2) and (1,3).
+  MetricRegistry metrics;
+  Transport transport(2, NetworkOptions{}, &metrics);
+  ChandyMisraTable::Config config;
+  config.count = 4;
+  config.adjacency = {{2}, {3}, {0}, {1}};
+  config.worker_of = [](int64_t p) {
+    return WorkerId{p == 1 || p == 2 ? 1 : 0};
+  };
+  config.num_workers = 2;
+  config.request_tag = 1;
+  config.transfer_tag = 2;
+  config.metrics = &metrics;
+  ChandyMisraTable table(std::move(config));
+  LoopbackHandle h0(&transport, 0);
+  LoopbackHandle h1(&transport, 1);
+  table.BindWorker(0, &h0);
+  table.BindWorker(1, &h1);
+  std::vector<std::thread> pumps;
+  for (WorkerId w : {0, 1}) {
+    pumps.emplace_back([&, w] {
+      while (auto msg = transport.Receive(w)) table.HandleControl(w, *msg);
+    });
+  }
+  in.SetProbes(nullptr, [&table] { return table.FindStuckChain(); });
+
+  // The larger id of each pair starts with the fork: 2 and 3 eat at once.
+  ASSERT_TRUE(table.Acquire(2));
+  ASSERT_TRUE(table.Acquire(3));
 
   WatchdogOptions opts;
   opts.period_ms = 5;
-  opts.stall_ms = 10000;  // keep the stall detector out of the way
-  opts.abort_on_stall = true;
+  opts.stall_ms = 10000;
+  opts.abort_on_stall = true;  // a false confirmation would fail the acquires
   Watchdog dog(opts);
   dog.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::atomic<bool> acquired0{false};
+  std::atomic<bool> acquired1{false};
+  std::thread waiter0([&] { acquired0.store(table.Acquire(0)); });
+  std::thread waiter1([&] { acquired1.store(table.Acquire(1)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // The beacons do show the cycle that a beacon-based rule confirmed.
+  EXPECT_FALSE(FindWorkerCycle(in.BuildWaitForGraph()).empty());
+  table.Release(2);
+  table.Release(3);
+  waiter0.join();
+  waiter1.join();
   dog.Stop();
 
-  const WatchdogSummary& summary = dog.summary();
-  EXPECT_GE(summary.deadlocks_detected, 1);
-  ASSERT_FALSE(summary.incidents.empty());
-  EXPECT_NE(summary.incidents[0].find("deadlock"), std::string::npos);
-  EXPECT_TRUE(in.abort_requested());
-  EXPECT_NE(in.abort_reason().find("deadlock"), std::string::npos);
+  EXPECT_TRUE(acquired0.load());
+  EXPECT_TRUE(acquired1.load());
+  EXPECT_EQ(dog.summary().deadlocks_detected, 0);
+  EXPECT_EQ(dog.summary().stalls_flagged, 0);
+  EXPECT_FALSE(in.abort_requested());
+  table.Release(0);
+  table.Release(1);
+  in.ClearProbes();
+  transport.Shutdown();
+  for (auto& pump : pumps) pump.join();
+}
+
+// serichk's mcheck_catches_deadlock configuration on real threads: every
+// initial fork clean (the planted bug), vertex locking on a 4-ring, two
+// workers. Clean forks at thinking philosophers never yield, so the fork
+// table holds a chain that cannot move. The watchdog must confirm it as
+// a deadlock, naming the stuck philosophers, and abort the run before
+// the stall rule (stall_ms) would have fired.
+TEST(WatchdogTest, ConfirmsPlantedDeadlockAndAborts) {
+  IntrospectorGuard guard;
+  struct PlantGuard {
+    PlantGuard() { Planted::Enable("cm.clean_initial_forks"); }
+    ~PlantGuard() { Planted::Clear(); }
+  } plant;
+  auto g = Graph::FromEdgeList(Ring(4));
+  ASSERT_TRUE(g.ok());
+  const Graph graph = g->Undirected();
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("compute threads per worker: " + std::to_string(threads));
+    EngineOptions opts;
+    opts.model = ComputationModel::kAsync;
+    opts.sync_mode = SyncMode::kVertexLocking;
+    opts.num_workers = 2;
+    opts.compute_threads_per_worker = threads;
+    opts.introspect = true;
+    opts.watchdog.stall_ms = 500;
+    opts.watchdog.abort_on_stall = true;
+    Engine<Sssp> engine(&graph, opts);
+    auto result = engine.Run(Sssp(0));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kAborted)
+        << result.status();
+    // First abort reason wins: a deadlock here means it beat the stall.
+    EXPECT_NE(result.status().message().find(
+                  "watchdog confirmed deadlock: fork chain vertex "),
+              std::string::npos)
+        << result.status();
+  }
 }
 
 TEST(WatchdogTest, TransientCycleWithProgressIsNotADeadlock) {
@@ -410,35 +523,6 @@ TEST(WatchdogTest, StreamsParseableJsonlSnapshots) {
   EXPECT_TRUE(saw_wait_edge);
   std::remove(path.c_str());
 }
-
-// --- abort through ChandyMisraTable --------------------------------------
-
-// Minimal WorkerHandle that loops control messages through a Transport,
-// mirroring tests/chandy_misra_test.cc.
-class LoopbackHandle final : public WorkerHandle {
- public:
-  LoopbackHandle(Transport* transport, WorkerId id)
-      : transport_(transport), id_(id) {}
-  void FlushRemoteTo(WorkerId) override {}
-  void FlushAllRemote() override {}
-  void SendControl(WorkerId dst, uint32_t tag, int64_t a, int64_t b,
-                   int64_t c) override {
-    WireMessage msg;
-    msg.src = id_;
-    msg.dst = dst;
-    msg.kind = MessageKind::kControl;
-    msg.tag = tag;
-    msg.a = a;
-    msg.b = b;
-    msg.c = c;
-    transport_->Send(std::move(msg));
-  }
-  WorkerId worker_id() const override { return id_; }
-
- private:
-  Transport* transport_;
-  WorkerId id_;
-};
 
 TEST(IntrospectAbortTest, BlockedAcquireReturnsFalseOnAbort) {
   IntrospectorGuard guard;
@@ -548,6 +632,41 @@ struct NappingSssp {
     ctx.VoteToHalt();
   }
 };
+
+// The digest spans every attempt: a stall the watchdog flags (and that
+// fails the attempt) stays in the run report after recovery succeeds.
+TEST(IntrospectEngineTest, DigestCoversEveryAttempt) {
+  IntrospectorGuard guard;
+  auto g = Graph::FromEdgeList(Ring(64));
+  ASSERT_TRUE(g.ok());
+  EngineOptions opts;
+  opts.model = ComputationModel::kAsync;
+  opts.sync_mode = SyncMode::kPartitionLocking;
+  opts.num_workers = 2;
+  opts.partitions_per_worker = 2;
+  opts.introspect = true;
+  opts.watchdog.stall_ms = 300;
+  opts.fault.recover = true;
+  opts.fault.recovery_backoff_ms = 1;
+  FaultEvent hang;
+  hang.action = FaultAction::kHang;
+  hang.point = "engine.post_compute";
+  hang.worker = 1;
+  hang.hit = 2;
+  opts.fault.plan.events.push_back(hang);
+  Engine<Sssp> engine(&*g, opts);
+  auto result = engine.Run(Sssp(0));
+  ASSERT_TRUE(result.ok()) << result.status();
+  const RunStats& stats = result->stats;
+  EXPECT_EQ(result->values, ReferenceSssp(*g, 0));
+  EXPECT_GE(stats.recovery_attempts, 1);
+  EXPECT_GE(stats.introspect_stalls, 1);
+  ASSERT_FALSE(stats.introspect_incidents.empty());
+  EXPECT_EQ(stats.introspect_incidents[0].rfind("stall: ", 0), 0u)
+      << stats.introspect_incidents[0];
+  EXPECT_GT(stats.introspect_snapshots, 1);
+  EXPECT_EQ(stats.introspect_deadlocks, 0);
+}
 
 TEST(IntrospectEngineTest, WatchdogStallAbortYieldsAbortedStatus) {
   IntrospectorGuard guard;
