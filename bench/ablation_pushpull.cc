@@ -10,7 +10,8 @@
 // PageRank's forced runs it derives the cost model's ratio: compute
 // thread-time per pushed message (forced push) over compute thread-time
 // per gathered in-edge (forced pull, every gather superstep sweeps all
-// |E| in-edges), to compare with kPullCostRatio.
+// |E| in-edges), to compare with kPullCostRatio: once per repetition,
+// reporting the median and the range.
 //
 //   ablation_pushpull [--reps=N] [--json=FILE]
 //
@@ -89,7 +90,9 @@ std::vector<Step> Steps(const RunStats& stats) {
 /// The runs of one (graph, algorithm) cell under every mode.
 struct ModeRuns {
   std::vector<double> seconds;  // computation time per repetition
-  RunStats last;                // the last repetition's stats
+  std::vector<RunStats> stats;  // every repetition's stats
+
+  const RunStats& last() const { return stats.back(); }
 };
 
 template <typename Program>
@@ -120,29 +123,36 @@ std::map<PushPullMode, ModeRuns> RunModes(
         }
       }
       runs[mode].seconds.push_back(stats.computation_seconds);
-      runs[mode].last = std::move(stats);
+      runs[mode].stats.push_back(std::move(stats));
     }
   }
   return runs;
 }
 
+/// One repetition's calibration.
 struct Calibration {
   double push_ns_per_message = 0.0;
   double gather_ns_per_in_edge = 0.0;
+
+  double alpha() const {
+    return gather_ns_per_in_edge > 0
+               ? push_ns_per_message / gather_ns_per_in_edge
+               : 0.0;
+  }
 };
 
-/// Compute thread-time per pushed message (forced push) and per gathered
-/// in-edge (forced pull's gather supersteps).
-Calibration Calibrate(const std::map<PushPullMode, ModeRuns>& runs,
+/// Compute thread-time per pushed message (a forced-push run) and per
+/// gathered in-edge (a forced-pull run's gather supersteps).
+Calibration Calibrate(const RunStats& push, const RunStats& pull,
                       int64_t num_edges) {
   int64_t push_us = 0, pushed = 0;
-  for (const Step& s : Steps(runs.at(PushPullMode::kForcePush).last)) {
+  for (const Step& s : Steps(push)) {
     if (s.messages == 0) continue;
     push_us += s.sum_compute_us;
     pushed += s.messages;
   }
   int64_t gather_us = 0, gathers = 0;
-  for (const Step& s : Steps(runs.at(PushPullMode::kForcePull).last)) {
+  for (const Step& s : Steps(pull)) {
     if ((s.pull_mode & 2) == 0) continue;
     gather_us += s.sum_compute_us;
     ++gathers;
@@ -156,6 +166,16 @@ Calibration Calibrate(const std::map<PushPullMode, ModeRuns>& runs,
   return c;
 }
 
+/// Median, minimum and maximum of `samples` (non-empty).
+struct Spread {
+  double median, min, max;
+};
+Spread SpreadOf(const std::vector<double>& samples) {
+  return {MedianOf(samples),
+          *std::min_element(samples.begin(), samples.end()),
+          *std::max_element(samples.begin(), samples.end())};
+}
+
 std::string Ms(int64_t us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", us / 1e3);
@@ -163,9 +183,11 @@ std::string Ms(int64_t us) {
 }
 
 void PrintSupersteps(const std::map<PushPullMode, ModeRuns>& runs) {
-  const std::vector<Step> push = Steps(runs.at(PushPullMode::kForcePush).last);
-  const std::vector<Step> pull = Steps(runs.at(PushPullMode::kForcePull).last);
-  const std::vector<Step> aut = Steps(runs.at(PushPullMode::kAuto).last);
+  const std::vector<Step> push =
+      Steps(runs.at(PushPullMode::kForcePush).last());
+  const std::vector<Step> pull =
+      Steps(runs.at(PushPullMode::kForcePull).last());
+  const std::vector<Step> aut = Steps(runs.at(PushPullMode::kAuto).last());
   TablePrinter table({"superstep", "auto mode", "edge share in", "push ms",
                       "pull ms", "auto ms"});
   for (size_t s = 0; s < aut.size(); ++s) {
@@ -261,14 +283,14 @@ int main(int argc, char** argv) {
         cell.min = *std::min_element(runs.seconds.begin(), runs.seconds.end());
         cell.max = *std::max_element(runs.seconds.begin(), runs.seconds.end());
         cell.reps = static_cast<int>(runs.seconds.size());
-        cell.counters["supersteps"] = runs.last.supersteps;
+        cell.counters["supersteps"] = runs.last().supersteps;
         cell.counters["engine.pull_supersteps"] =
-            runs.last.Metric("engine.pull_supersteps");
+            runs.last().Metric("engine.pull_supersteps");
         cell.counters["pregel.messages_sent"] =
-            runs.last.Metric("pregel.messages_sent");
+            runs.last().Metric("pregel.messages_sent");
         report.Add(std::move(cell));
       }
-      const RunStats& auto_stats = a.runs.at(PushPullMode::kAuto).last;
+      const RunStats& auto_stats = a.runs.at(PushPullMode::kAuto).last();
       summary.AddRow({g.name, a.name, TablePrinter::Seconds(median[0]),
                       TablePrinter::Seconds(median[1]),
                       TablePrinter::Seconds(median[2]),
@@ -277,27 +299,42 @@ int main(int argc, char** argv) {
                           auto_stats.Metric("engine.pull_supersteps")),
                       std::to_string(auto_stats.supersteps)});
     }
-    const Calibration c = Calibrate(algos[0].runs, g.graph.num_edges());
-    const double alpha = c.gather_ns_per_in_edge > 0
-                             ? c.push_ns_per_message / c.gather_ns_per_in_edge
-                             : 0.0;
-    std::printf("\n%s PageRank calibration: %.1f ns per pushed message, "
-                "%.1f ns per gathered in-edge (compute thread-time):\n"
-                "  alpha = %.1f (kPullCostRatio = %lld: pull once the "
-                "broadcasters' out-edges reach |E|/%lld)\n",
-                g.name.c_str(), c.push_ns_per_message,
-                c.gather_ns_per_in_edge, alpha, (long long)kPullCostRatio,
-                (long long)kPullCostRatio);
-    for (const auto& [what, ns] :
-         {std::pair<const char*, double>{"push_ns_per_message",
-                                         c.push_ns_per_message},
-          {"gather_ns_per_in_edge", c.gather_ns_per_in_edge}}) {
+    // PageRank's forced runs, calibrated repetition by repetition.
+    const ModeRuns& push = algos[0].runs.at(PushPullMode::kForcePush);
+    const ModeRuns& pull = algos[0].runs.at(PushPullMode::kForcePull);
+    std::vector<double> push_ns, gather_ns, alphas;
+    for (int rep = 0; rep < reps; ++rep) {
+      const Calibration c =
+          Calibrate(push.stats[rep], pull.stats[rep], g.graph.num_edges());
+      push_ns.push_back(c.push_ns_per_message);
+      gather_ns.push_back(c.gather_ns_per_in_edge);
+      alphas.push_back(c.alpha());
+    }
+    const Spread push_spread = SpreadOf(push_ns);
+    const Spread gather_spread = SpreadOf(gather_ns);
+    const Spread alpha = SpreadOf(alphas);
+    std::printf("\n%s PageRank calibration, median [min, max] of %d: "
+                "%.1f [%.1f, %.1f] ns per pushed message, %.2f [%.2f, %.2f] "
+                "ns per gathered in-edge (compute thread-time):\n"
+                "  alpha = %.1f [%.1f, %.1f] (kPullCostRatio = %lld: pull "
+                "once the broadcasters' out-edges reach |E|/%lld)\n",
+                g.name.c_str(), reps, push_spread.median, push_spread.min,
+                push_spread.max, gather_spread.median, gather_spread.min,
+                gather_spread.max, alpha.median, alpha.min, alpha.max,
+                (long long)kPullCostRatio, (long long)kPullCostRatio);
+    for (const auto& [what, spread] :
+         {std::pair<const char*, Spread>{"push_ns_per_message", push_spread},
+          {"gather_ns_per_in_edge", gather_spread}}) {
       BenchCell cell;
       cell.name = std::string("ablation_pushpull/") + g.name + "/" + what;
       cell.unit = "ns";
-      cell.median = cell.min = cell.max = ns;
-      cell.reps = 1;
-      cell.counters["alpha_milli"] = static_cast<int64_t>(alpha * 1000);
+      cell.median = spread.median;
+      cell.min = spread.min;
+      cell.max = spread.max;
+      cell.reps = reps;
+      cell.counters["alpha_milli"] = static_cast<int64_t>(alpha.median * 1000);
+      cell.counters["alpha_min_milli"] = static_cast<int64_t>(alpha.min * 1000);
+      cell.counters["alpha_max_milli"] = static_cast<int64_t>(alpha.max * 1000);
       report.Add(std::move(cell));
     }
   }

@@ -7,10 +7,24 @@ namespace serigraph {
 
 namespace {
 
+constexpr int kSubBits = Histogram::kSubBucketBits;
+constexpr int kSubs = Histogram::kSubBuckets;
+
 int BucketFor(int64_t sample) {
-  if (sample <= 0) return 0;
-  int b = 64 - std::countl_zero(static_cast<uint64_t>(sample));
-  return b < Histogram::kNumBuckets ? b : Histogram::kNumBuckets - 1;
+  if (sample < kSubs) return sample <= 0 ? 0 : static_cast<int>(sample);
+  const int octave = 63 - std::countl_zero(static_cast<uint64_t>(sample));
+  if (octave > Histogram::kMaxOctave) return Histogram::kNumBuckets - 1;
+  const int sub = static_cast<int>(sample >> (octave - kSubBits)) & (kSubs - 1);
+  return kSubs * (octave - kSubBits + 1) + sub;
+}
+
+/// The largest sample BucketFor maps to `bucket` (the last bucket's
+/// nominal bound; larger samples land there too).
+int64_t UpperBound(int bucket) {
+  if (bucket < kSubs) return bucket;
+  const int octave = bucket / kSubs + kSubBits - 1;
+  const int64_t width = int64_t{1} << (octave - kSubBits);
+  return (int64_t{1} << octave) + (bucket % kSubs + 1) * width - 1;
 }
 
 }  // namespace
@@ -51,10 +65,9 @@ int64_t Histogram::ApproxQuantile(double q) const {
     // mo: stat cell; no ordering role
     seen += buckets_[b].load(std::memory_order_relaxed);
     if (seen > target) {
-      // Upper bound of bucket b: 2^b - 1 (bucket 0 holds <=0 samples),
-      // never reported beyond the largest sample actually seen — so
-      // q=1 returns the exact max.
-      const int64_t bound = b == 0 ? 0 : (int64_t{1} << b) - 1;
+      // Never reported beyond the largest sample actually seen, so q=1
+      // returns the exact max (bucket 0 holds the samples <= 0).
+      const int64_t bound = UpperBound(b);
       return bound < observed_max ? bound : observed_max;
     }
   }

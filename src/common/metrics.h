@@ -80,13 +80,21 @@ class MaxGauge {
   std::atomic<int64_t> max_;
 };
 
-/// Fixed-bucket log2 histogram of non-negative samples (thread-safe).
-/// Used for latency distributions (fork-wait, token-hold, barrier-wait);
-/// see MetricRegistry::GetHistogram and the DESIGN.md observability
-/// section for the naming scheme.
+/// Fixed-bucket log-linear histogram of non-negative samples
+/// (thread-safe): each octave [2^b, 2^(b+1)) is split into kSubBuckets
+/// equal sub-buckets, so a bucket is at most 1/kSubBuckets of its
+/// values wide; samples below kSubBuckets have a bucket each, and
+/// samples from 2^(kMaxOctave+1) up share the last one. Used for
+/// latency distributions (fork-wait, token-hold, barrier-wait); see
+/// MetricRegistry::GetHistogram and docs/METRICS.md for the naming
+/// scheme.
 class Histogram {
  public:
-  static constexpr int kNumBuckets = 48;
+  static constexpr int kSubBucketBits = 2;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  static constexpr int kMaxOctave = 46;
+  static constexpr int kNumBuckets =
+      kSubBuckets * (kMaxOctave - kSubBucketBits + 2);
 
   Histogram();
 
@@ -99,8 +107,9 @@ class Histogram {
   // mo: stat cell; no ordering role
   int64_t max() const { return max_.load(std::memory_order_relaxed); }
   double Mean() const;
-  /// Approximate quantile from bucket boundaries: returns an upper bound
-  /// of the bucket holding the q-th sample, capped at the exact max.
+  /// Approximate quantile from bucket boundaries: returns the upper
+  /// bound of the sub-bucket holding the q-th sample, capped at the
+  /// exact max, so it is at most one sub-bucket above the sample.
   /// Edge cases: empty histogram -> 0; q (including NaN) is clamped to
   /// [0,1]; q=0 reports the first non-empty bucket, q=1 the exact max.
   int64_t ApproxQuantile(double q) const;

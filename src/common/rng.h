@@ -64,6 +64,24 @@ class Rng {
   /// True with probability `p` (clamped to [0,1]).
   bool Bernoulli(double p) { return NextDouble() < p; }
 
+  /// Advances the state by d draws in O(256) steps, whatever d is.
+  /// `poly` holds x^d mod the generator's characteristic polynomial,
+  /// bit k of poly[k / 64] being the coefficient of x^k; this is
+  /// xoshiro's own jump() with the distance as a parameter.
+  /// scripts/xoshiro_jump.py prints `poly` for a given d.
+  void Jump(const uint64_t (&poly)[4]) {
+    uint64_t t[4] = {0, 0, 0, 0};
+    for (const uint64_t word : poly) {
+      for (int b = 0; b < 64; ++b) {
+        if ((word >> b) & 1) {
+          for (int i = 0; i < 4; ++i) t[i] ^= s_[i];
+        }
+        Next();
+      }
+    }
+    for (int i = 0; i < 4; ++i) s_[i] = t[i];
+  }
+
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -1,5 +1,10 @@
 #include "common/threading.h"
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace serigraph {
@@ -45,11 +50,28 @@ void CountDownLatch::Wait() {
   while (count_ != 0) cv_.Wait(mu_);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads, Placement placement) {
   SG_CHECK_GT(num_threads, 0);
   threads_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
+  }
+  if (placement != Placement::kOnePerCpu) return;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  std::vector<int> cpus;
+  const int here = sched_getcpu();
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask) && cpu != here) cpus.push_back(cpu);
+  }
+  if (here >= 0 && CPU_ISSET(here, &mask)) cpus.push_back(here);
+  for (int i = 0; i < num_threads; ++i) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[i % cpus.size()], &one);
+    // Best effort: an unpinned thread still runs.
+    pthread_setaffinity_np(threads_[i].native_handle(), sizeof(one), &one);
   }
 }
 
@@ -102,6 +124,21 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty() && active_ == 0) cv_idle_.NotifyAll();
     }
   }
+}
+
+int AffinityCpuCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+void RunOnEach(ThreadPool* pool, int n, const std::function<void(int)>& fn) {
+  for (int i = 1; i < n; ++i) pool->Submit([&fn, i] { fn(i); });
+  fn(0);
+  if (n > 1) pool->WaitIdle();
 }
 
 }  // namespace serigraph

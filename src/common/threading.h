@@ -66,7 +66,20 @@ class CountDownLatch {
 /// Shutdown drains outstanding tasks before joining.
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads);
+  enum class Placement {
+    /// Wherever the scheduler puts them.
+    kScheduler,
+    /// Each thread pinned to its own CPU of the creating thread's
+    /// affinity mask, the creator's current CPU last, round-robin past
+    /// the mask's size. For short data-parallel passes: a 4-vCPU VM was
+    /// seen waking idle pool threads on the waker's CPU and keeping them
+    /// there for whole 20 ms passes (docs/PERF.md, "Set-up on every
+    /// core").
+    kOnePerCpu,
+  };
+
+  explicit ThreadPool(int num_threads,
+                      Placement placement = Placement::kScheduler);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -95,6 +108,16 @@ class ThreadPool {
   /// Joined by Shutdown(); only touched by the constructing thread.
   std::vector<std::thread> threads_;
 };
+
+/// CPUs this process may run on: the size of its affinity mask (what
+/// `nproc` prints), at least 1.
+int AffinityCpuCount();
+
+/// Runs fn(0), ..., fn(n - 1) and returns when all of them have: fn(0)
+/// on the calling thread and the rest as tasks on `pool`, which must be
+/// idle (it may be null when n == 1). For data-parallel passes whose
+/// tasks split one array between them; the waits block, never spin.
+void RunOnEach(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace serigraph
 

@@ -10,6 +10,19 @@
 
 namespace serigraph {
 
+/// std::allocator whose resize() leaves new elements of trivial types
+/// uninitialized, so an adjacency array costs no zero-fill pass: the
+/// build writes every slot it keeps, and the first writes fault the
+/// pages in on whichever thread makes them. (Constructions with
+/// arguments, such as copies, fall back to std::construct_at.)
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// Immutable directed graph in compressed-sparse-row form, indexed both by
 /// out-edges (CSR) and in-edges (CSC). Undirected graphs are represented by
 /// storing each edge in both directions (the convention the paper uses for
@@ -31,13 +44,26 @@ class Graph {
   /// programs never message themselves in the paper's model) and duplicate
   /// edges are collapsed. Fails if num_vertices exceeds 2^31 (before
   /// allocating anything) or if any endpoint is outside
-  /// [0, edge_list.num_vertices).
+  /// [0, edge_list.num_vertices); an out-of-range endpoint is reported
+  /// for the first such edge in input order.
   ///
-  /// Cost: a counting sort, O(|V| + |E|) plus a sort of each adjacency
-  /// list. The input is read, never copied. The arrays hold 4 B per kept
-  /// edge in each direction and 8 B offsets per vertex; the out-array's
-  /// capacity also spans the dropped self loops and duplicates.
+  /// Cost: O(|V| + |E|) in four counting scatters and no sort: sources
+  /// grouped by dst in a scratch array, scattered by src in descending
+  /// dst order (which leaves every out-list sorted), duplicates dropped,
+  /// then the in-CSR scattered from the out-CSR. The input is read
+  /// twice, never copied. Inputs of at least kParallelBuildMinEdges
+  /// edges run the passes on up to one thread per usable CPU; the
+  /// arrays are the same either way. They hold 4 B per kept edge in
+  /// each direction and 8 B offsets per vertex; the out-array's capacity
+  /// also spans the dropped self loops and duplicates. The per-thread
+  /// counts live in the out-array and the scratch array before those
+  /// are filled, and the scratch array is released before the in-array
+  /// is allocated, so set-up never holds three edge-sized arrays.
   static StatusOr<Graph> FromEdgeList(const EdgeList& edge_list);
+
+  /// Inputs with fewer edges build on the calling thread alone
+  /// (docs/PERF.md, "Set-up on every core": the cutoff measurement).
+  static constexpr int64_t kParallelBuildMinEdges = 1 << 18;
 
   /// Returns the undirected closure: every edge (u,v) also present as
   /// (v,u). Needed by graph coloring, which requires undirected input.
@@ -93,12 +119,14 @@ class Graph {
   std::vector<Edge> ToEdges() const;
 
  private:
+  using Lists = std::vector<NeighborId, UninitializedAllocator<NeighborId>>;
+
   VertexId num_vertices_ = 0;
   std::vector<int64_t> out_offsets_{0};
-  std::vector<NeighborId> out_targets_;
+  Lists out_targets_;
   // Left unbuilt when symmetric_: the in-lists are then the out-lists.
   std::vector<int64_t> in_offsets_{0};
-  std::vector<NeighborId> in_sources_;
+  Lists in_sources_;
   bool symmetric_ = false;
 };
 

@@ -1,10 +1,15 @@
 // Tests for the common substrate: RNG, metrics, serialization, threading.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -68,6 +73,27 @@ TEST(RngTest, BernoulliExtremes) {
   }
 }
 
+TEST(RngTest, JumpMatchesStepping) {
+  // x^0, x^5 and (scripts/xoshiro_jump.py 1000) x^1000.
+  const uint64_t none[4] = {1, 0, 0, 0};
+  const uint64_t five[4] = {0x20, 0, 0, 0};
+  const uint64_t thousand[4] = {0x288d1ee30c52d42a, 0xc9a2d442bc6dd488,
+                                0x7d1d43fb70df7580, 0xd6710c4366183917};
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{77}, uint64_t{1} << 40}) {
+    for (const auto& [poly, steps] :
+         {std::pair{&none, 0}, std::pair{&five, 5}, std::pair{&thousand, 1000}}) {
+      Rng stepped(seed);
+      for (int i = 0; i < steps; ++i) stepped.Next();
+      Rng jumped(seed);
+      jumped.Jump(*poly);
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(jumped.Next(), stepped.Next())
+            << "seed " << seed << ", " << steps << " steps";
+      }
+    }
+  }
+}
+
 // --- Metrics ----------------------------------------------------------
 
 TEST(MetricsTest, CounterConcurrentIncrements) {
@@ -97,10 +123,39 @@ TEST(MetricsTest, HistogramQuantilesAndMean) {
   for (int i = 1; i <= 1000; ++i) h.Record(i);
   EXPECT_EQ(h.count(), 1000);
   EXPECT_NEAR(h.Mean(), 500.5, 0.1);
-  // log2 buckets: median of 1..1000 lands in bucket [512, 1023].
-  EXPECT_GE(h.ApproxQuantile(0.5), 255);
-  EXPECT_LE(h.ApproxQuantile(0.5), 1023);
+  // The median of 1..1000 (500) lands in the sub-bucket [448, 511].
+  EXPECT_EQ(h.ApproxQuantile(0.5), 511);
   EXPECT_LE(h.ApproxQuantile(0.0), 1);
+}
+
+TEST(MetricsTest, HistogramQuantilesWithinOneSubBucket) {
+  // 10000 log-uniform samples from 100 to about 14800, like a latency
+  // spread. Each reported quantile must be the upper bound of the
+  // sub-bucket holding the true one: at most a quarter octave above it.
+  // (A bound per octave reports p50 = 2047 for a true 1218.)
+  Histogram h;
+  std::vector<int64_t> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(static_cast<int64_t>(100 * std::pow(1.0005, i)));
+    h.Record(samples.back());
+  }
+  std::sort(samples.begin(), samples.end());
+  for (const double q : {0.05, 0.25, 0.5, 0.75, 0.95, 0.99}) {
+    const int64_t truth = samples[static_cast<size_t>(
+        q * static_cast<double>(samples.size() - 1))];
+    const int64_t width = int64_t{1}
+                          << (std::bit_width(static_cast<uint64_t>(truth)) -
+                              1 - Histogram::kSubBucketBits);
+    const int64_t got = h.ApproxQuantile(q);
+    EXPECT_GE(got, truth) << "q=" << q;
+    EXPECT_LT(got - truth, width) << "q=" << q << ", true " << truth;
+  }
+  // Samples below kSubBuckets are exact, and the cap still holds.
+  Histogram small;
+  for (const int64_t v : {1, 2, 2, 3, 3, 3}) small.Record(v);
+  EXPECT_EQ(small.ApproxQuantile(0.0), 1);
+  EXPECT_EQ(small.ApproxQuantile(0.5), 2);
+  EXPECT_EQ(small.ApproxQuantile(1.0), 3);
 }
 
 TEST(MetricsTest, HistogramQuantileEdgeCases) {
@@ -114,7 +169,7 @@ TEST(MetricsTest, HistogramQuantileEdgeCases) {
   Histogram h;
   h.Record(7);
   // A single sample is every quantile, and the estimate must never
-  // exceed the observed maximum (the log2 bucket upper bound is capped).
+  // exceed the observed maximum (the bucket's upper bound is capped).
   EXPECT_EQ(h.ApproxQuantile(0.0), 7);
   EXPECT_EQ(h.ApproxQuantile(0.5), 7);
   EXPECT_EQ(h.ApproxQuantile(1.0), 7);
@@ -333,6 +388,33 @@ TEST(ThreadingTest, ThreadPoolWaitIdleReusable) {
     pool.WaitIdle();
     EXPECT_EQ(ran.load(), (round + 1) * 50);
   }
+}
+
+TEST(ThreadingTest, OnePerCpuPoolPinsEachThreadToItsOwnCpu) {
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const int cpus = AffinityCpuCount();
+  ASSERT_EQ(cpus, CPU_COUNT(&mask));
+  ThreadPool pool(cpus, ThreadPool::Placement::kOnePerCpu);
+  // Each task holds its thread until all have started, so every thread
+  // runs exactly one and reports its own affinity.
+  CountDownLatch started(cpus);
+  std::vector<cpu_set_t> pinned(cpus);
+  for (int i = 0; i < cpus; ++i) {
+    pool.Submit([&, i] {
+      EXPECT_EQ(sched_getaffinity(0, sizeof(pinned[i]), &pinned[i]), 0);
+      started.CountDown();
+      started.Wait();
+    });
+  }
+  pool.WaitIdle();
+  cpu_set_t seen;
+  CPU_ZERO(&seen);
+  for (const cpu_set_t& one : pinned) {
+    EXPECT_EQ(CPU_COUNT(&one), 1);
+    CPU_OR(&seen, &seen, &one);
+  }
+  EXPECT_TRUE(CPU_EQUAL(&seen, &mask));
 }
 
 TEST(ThreadingTest, ShutdownDrainsQueue) {

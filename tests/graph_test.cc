@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
@@ -503,6 +504,107 @@ TEST(SetupIdentityTest, PowerLawChungLuMatchesBinarySearchSampler) {
     }
   }
   EXPECT_EQ(compared, 4 * 5 * 3);
+}
+
+// --- the parallel set-up path ------------------------------------------
+//
+// PowerLawChungLu samples chunks of candidates on several threads once a
+// draw reaches a few chunks, and FromEdgeList splits its passes once an
+// input reaches Graph::kParallelBuildMinEdges edges; the inputs above
+// stay below both cutoffs. These run the benchmark's size, where both
+// paths start threads on a multi-CPU host, and compare with the same
+// oracles.
+
+/// Asserts that `g` holds the oracle's lists, comparing in place (no
+/// edge vectors: the benchmark-sized graphs hold 4M edges).
+void ExpectSameLists(const Graph& g, const OracleGraph& want,
+                     const std::string& what) {
+  ASSERT_EQ(g.num_vertices(), want.num_vertices) << what;
+  ASSERT_EQ(g.num_edges(), static_cast<int64_t>(want.out_targets.size()))
+      << what;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto out = g.OutNeighbors(v);
+    const auto in = g.InNeighbors(v);
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), want.Out(v).begin(),
+                           want.Out(v).end()))
+        << what << ", out-list of v" << v;
+    ASSERT_TRUE(std::equal(in.begin(), in.end(), want.In(v).begin(),
+                           want.In(v).end()))
+        << what << ", in-list of v" << v;
+  }
+}
+
+/// Runs `body` with the calling thread pinned to one CPU of its affinity
+/// mask, so set-up sees one usable CPU and starts no thread; restores
+/// the mask afterwards.
+void OnOneCpu(const std::function<void()>& body) {
+  cpu_set_t all;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &all)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  body();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+}
+
+TEST(ParallelSetupTest, BenchmarkSizedDrawAndBuildMatchOracles) {
+  // pagerank-bsp's graphs: UK' shape, 160k vertices, 4M edges.
+  const DatasetSpec spec = FindSpec("UK'");
+  const EdgeList want_edges =
+      OraclePowerLawChungLu(160000, spec.avg_degree, spec.gamma, 201);
+  ASSERT_GE(static_cast<int64_t>(want_edges.edges.size()),
+            Graph::kParallelBuildMinEdges * 8);
+  const OracleGraph want = *OracleFromEdgeList(want_edges);
+  auto check = [&](const std::string& what) {
+    const EdgeList got =
+        PowerLawChungLu(160000, spec.avg_degree, spec.gamma, 201);
+    ASSERT_EQ(got.num_vertices, want_edges.num_vertices) << what;
+    ASSERT_TRUE(got.edges == want_edges.edges) << what;
+    const StatusOr<Graph> g = Graph::FromEdgeList(got);
+    ASSERT_TRUE(g.ok()) << what << ": " << g.status();
+    ExpectSameLists(*g, want, what);
+  };
+  check("all usable CPUs");
+  OnOneCpu([&] { check("one CPU"); });
+}
+
+TEST(ParallelSetupTest, RejectionHeavyDrawMatchesSequentialSampler) {
+  // Three vertices: about 2 candidates in 5 are self loops and rejected,
+  // so the kept edges of every chunk shift, rejected candidates straddle
+  // every chunk boundary, and the draw needs chunks beyond the first
+  // estimate. 150000 edges take about 15 chunks.
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    const EdgeList want = OraclePowerLawChungLu(3, 50000.0, 2.1, seed);
+    const EdgeList got = PowerLawChungLu(3, 50000.0, 2.1, seed);
+    ASSERT_EQ(got.edges.size(), 150000u);
+    ASSERT_TRUE(got.edges == want.edges) << "seed " << seed;
+  }
+}
+
+TEST(ParallelSetupTest, ReportsTheFirstBadEdgeInInputOrder) {
+  // Large enough that the build splits its input between threads (on a
+  // multi-CPU host). Each plant puts one to three bad endpoints in
+  // different threads' slices; in some the first bad edge is in a later
+  // slice than the threads' first, in some a later slice holds another.
+  const EdgeList base = PowerLawChungLu(2000, 300.0, 2.4, 5);
+  const auto m = static_cast<int64_t>(base.edges.size());
+  ASSERT_GE(m, Graph::kParallelBuildMinEdges);
+  const std::vector<std::vector<int64_t>> plants = {
+      {m - 1}, {m / 2, m - 1}, {3 * m / 4, m / 4 + 7}, {m / 4, m / 2},
+      {m / 3 + 1, m / 2 + 1, 2 * m / 3 + 1}};
+  for (size_t p = 0; p < plants.size(); ++p) {
+    EdgeList el = base;
+    VertexId bad = 2000;
+    for (const int64_t i : plants[p]) el.edges[i].dst = bad++;
+    const StatusOr<OracleGraph> want = OracleFromEdgeList(el);
+    const StatusOr<Graph> got = Graph::FromEdgeList(el);
+    ASSERT_FALSE(got.ok()) << "plant " << p;
+    EXPECT_EQ(got.status().message(), want.status().message())
+        << "plant " << p;
+  }
 }
 
 /// std::lower_bound's answer over `cdf`, clamped to the last index: what
