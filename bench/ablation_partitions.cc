@@ -48,10 +48,11 @@ int main() {
   table.Print(std::cout);
   std::cout << "\npaper: the sweet spot is |W| partitions per worker (=16 "
                "here); 1/worker restricts\nparallelism, many/worker "
-               "multiplies forks and shrinks message batches. On this\n"
-               "single-core host only the communication side of the "
-               "trade-off is visible (the\nfork/ctrl-msg growth); the "
-               "parallelism restriction at 1 partition/worker needs\nreal "
-               "cores to cost wall-clock time.\n";
+               "multiplies forks and shrinks message batches. The 'max\n"
+               "concurrent' column is the parallelism partition locking "
+               "reached: when most\npartition pairs share a fork, few "
+               "partitions execute at once at any count, so\n1/worker "
+               "gives up little parallelism while the fork/ctrl-msg growth "
+               "of more\npartitions still costs time.\n";
   return 0;
 }

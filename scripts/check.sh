@@ -440,11 +440,11 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target micro_message_store micro_transport micro_chandy_misra \
-    micro_graph ablation_pushpull
+    micro_graph micro_history ablation_pushpull
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"' EXIT
   for bench in micro_message_store micro_transport micro_chandy_misra \
-      micro_graph ablation_pushpull; do
+      micro_graph micro_history ablation_pushpull; do
     out="$SMOKE_DIR/$bench.json"
     if [[ "$bench" == ablation_pushpull ]]; then
       # Not a Google Benchmark binary: size it down instead (8k vertices).

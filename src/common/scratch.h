@@ -12,13 +12,17 @@
 
 namespace serigraph {
 
-/// A scratch array of `size` uninitialized Ts, mapped from the kernel
-/// and unmapped on destruction, outside malloc. glibc keeps freed heap
-/// blocks resident, and raises its mmap threshold after freeing a mapped
-/// block so that later blocks of that size come from the heap: a large
-/// malloc'd scratch array would stay in the RSS of whatever runs next
-/// (docs/PERF.md, "Set-up on every core"). For arrays that live for one
-/// call.
+/// An array of `size` Ts, mapped from the kernel and unmapped on
+/// destruction, outside malloc. glibc keeps freed heap blocks resident,
+/// and raises its mmap threshold after freeing a mapped block so that
+/// later blocks of that size come from the heap: a large malloc'd array
+/// would stay in the RSS of whatever runs next (docs/PERF.md, "Set-up on
+/// every core"). A fresh mapping reads as zero bytes, and a page costs
+/// memory only once it is touched. For arrays that live for one call or
+/// one job (the history recorder's arrays and logs).
+/// Size of a transparent huge page on x86-64 and most arm64 kernels.
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
+
 template <typename T>
 class ScratchArray {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -44,8 +48,18 @@ class ScratchArray {
     return *this;
   }
 
+  /// Asks the kernel to back the array with transparent huge pages,
+  /// where its settings allow (a hint, ignored when they are off): a
+  /// fresh 4 KiB page costs a fault and a zero-fill on first touch, and a
+  /// 2 MiB page takes one fault for 512 of them. For arrays that are
+  /// written all over soon after they are mapped.
+  void AdviseHugePages() const {
+    if (bytes_ >= kHugePageBytes) madvise(data_, bytes_, MADV_HUGEPAGE);
+  }
+
   T* data() const { return data_; }
   T& operator[](int64_t i) const { return data_[i]; }
+  int64_t size() const { return static_cast<int64_t>(bytes_ / sizeof(T)); }
 
  private:
   size_t bytes_ = 0;

@@ -34,8 +34,9 @@ struct UninitializedAllocator : std::allocator<T> {
 ///
 /// Contract every Graph keeps, and callers rely on: OutNeighbors(v) and
 /// InNeighbors(v) are sorted ascending and free of duplicates, and no
-/// vertex is its own neighbour. (HistoryRecorder's in-edge index and its
-/// binary search over InNeighbors depend on the in-lists' order.) List
+/// vertex is its own neighbour. (HistoryRecorder's in-edge index, its
+/// binary search over InNeighbors, and its logged reads, which name no
+/// neighbour, depend on the in-lists' order.) List
 /// entries are NeighborIds (types.h), so a graph has at most 2^31
 /// vertices.
 class Graph {
@@ -114,6 +115,11 @@ class Graph {
 
   /// True if for every edge (u,v) the reverse edge (v,u) exists.
   bool IsSymmetric() const;
+
+  /// True if the graph stores its lists once, InNeighbors(v) being
+  /// OutNeighbors(v): an Undirected() closure. O(1); a graph built from
+  /// an edge list that happens to be symmetric still reports false.
+  bool symmetric() const { return symmetric_; }
 
   /// All edges, in CSR order. Mostly for tests and serialization.
   std::vector<Edge> ToEdges() const;

@@ -219,8 +219,8 @@ class Engine {
   /// (verify/history.h). Travels with the record — through staging,
   /// partition bins and the wire — only while a recorder is attached.
   struct Provenance {
-    int64_t in_edge = 0;
-    uint64_t version = 0;
+    uint32_t in_edge = 0;
+    uint32_t version = 0;
   };
 
   // ------------------------------------------------------------------
@@ -410,7 +410,7 @@ class Engine {
   class Context {
    public:
     Context(Engine* engine, WorkerState* worker, VertexId vertex,
-            int superstep, uint64_t version, PartitionRun* run)
+            int superstep, uint32_t version, PartitionRun* run)
         : engine_(engine),
           worker_(worker),
           vertex_(vertex),
@@ -437,7 +437,7 @@ class Engine {
     /// Sends `message` to vertex `target` (must be an out-neighbor for
     /// the serializability guarantees to apply; see paper Section 3.1).
     void SendTo(VertexId target, const Message& message) {
-      int64_t in_edge = 0;
+      uint32_t in_edge = 0;
       if (engine_->recorder_ != nullptr) {
         in_edge = engine_->recorder_->InEdgeIndex(vertex_, target);
       }
@@ -464,7 +464,7 @@ class Engine {
       const auto targets = out_neighbors();
       if (engine_->recorder_ != nullptr) {
         // Provenance by out-edge position: no search per message.
-        const std::span<const int64_t> in_edges =
+        const std::span<const uint32_t> in_edges =
             engine_->recorder_->ProvenanceOfOutEdges(vertex_);
         for (size_t i = 0; i < targets.size(); ++i) {
           SendOverEdge(targets[i], in_edges[i], message);
@@ -501,7 +501,7 @@ class Engine {
     int64_t sent_count() const { return sent_count_; }
 
    private:
-    void SendOverEdge(VertexId target, int64_t in_edge,
+    void SendOverEdge(VertexId target, uint32_t in_edge,
                       const Message& message) {
       ++sent_count_;
       engine_->SendMessage(*worker_, *run_, target, message,
@@ -512,7 +512,7 @@ class Engine {
     WorkerState* worker_;
     VertexId vertex_;
     int superstep_;
-    uint64_t version_;
+    uint32_t version_;
     PartitionRun* run_;
     bool voted_halt_ = false;
     int64_t sent_count_ = 0;
@@ -961,7 +961,8 @@ class Engine {
       if (buckets[p].empty()) touched.push_back(p);
       buckets[p].emplace_back(local_index_[dst], std::move(message));
       if (recording) {
-        provenance[p].push_back({static_cast<int64_t>(in_edge), version});
+        provenance[p].push_back({static_cast<uint32_t>(in_edge),
+                                 static_cast<uint32_t>(version)});
       }
       ++decoded;
     }
@@ -1170,11 +1171,11 @@ class Engine {
     ++run.executions;
     const bool per_vertex_grant = GrantsPerVertex();
     if (per_vertex_grant) concurrency_->Add(1);
-    uint64_t version = 0;
+    HistoryRecorder::Txn txn;
     if (recorder_ != nullptr) {
-      version = recorder_->OnTxnBegin(worker.id, v, superstep);
+      txn = recorder_->OnTxnBegin(worker.id, v, superstep);
     }
-    Context ctx(this, &worker, v, superstep, version, &run);
+    Context ctx(this, &worker, v, superstep, txn.version, &run);
     program.Compute(ctx, messages);
     run.messages += ctx.sent_count();
     // Per-vertex execution is exclusive, so only this thread flips this
@@ -1189,9 +1190,7 @@ class Engine {
         ps.active_bits.Clear(li);
       }
     }
-    if (recorder_ != nullptr) {
-      recorder_->OnTxnEnd(worker.id, v, ctx.sent_any());
-    }
+    if (recorder_ != nullptr) recorder_->OnTxnEnd(txn, ctx.sent_any());
     if (per_vertex_grant) concurrency_->Add(-1);
     return true;
   }
@@ -1687,6 +1686,10 @@ class Engine {
         SG_CHECK_EQ(frame.superstep, initial_frame_.superstep);
         recorder_->RestoreSnapshot(initial_recorder_snapshot_);
       }
+      // Snapshots past the cut mark records the restore just discarded.
+      recorder_snapshots_.erase(
+          recorder_snapshots_.upper_bound(frame.superstep),
+          recorder_snapshots_.end());
     }
     // Aggregator values restart from their defaults, like the rest of the
     // superstep-(start_superstep_) state.

@@ -63,27 +63,31 @@ TEST(StalenessTest, BspReadsLagExactlyOneSuperstepOnEverySendPath) {
   Engine<RepairColoring> engine(&g, opts);
   auto result = engine.Run(RepairColoring());
   ASSERT_TRUE(result.ok());
-  const std::vector<TxnRecord> records = result->history->TakeRecords();
+  const History history = result->history->TakeRecords();
   // Published writes per vertex: (superstep, version).
-  std::vector<std::vector<std::pair<int, uint64_t>>> writes(
+  std::vector<std::vector<std::pair<int, uint32_t>>> writes(
       static_cast<size_t>(g.num_vertices()));
-  for (const TxnRecord& rec : records) {
+  for (int64_t i = 0; i < history.size(); ++i) {
+    const TxnHeader& rec = history[i];
     if (rec.written_version == 0) continue;
     writes[rec.vertex].emplace_back(rec.superstep, rec.written_version);
   }
   int64_t reads = 0;
   int64_t seen_nonzero = 0;
-  for (const TxnRecord& rec : records) {
-    for (const TxnRecord::Read& read : rec.reads) {
-      uint64_t expected = 0;
-      for (const auto& [superstep, version] : writes[read.neighbor]) {
+  for (int64_t i = 0; i < history.size(); ++i) {
+    const TxnHeader& rec = history[i];
+    const auto in = g.InNeighbors(rec.vertex);
+    const auto rec_reads = History::Reads(g, rec);
+    for (size_t k = 0; k < rec_reads.size(); ++k) {
+      uint32_t expected = 0;
+      for (const auto& [superstep, version] : writes[in[k]]) {
         if (superstep < rec.superstep) expected = std::max(expected, version);
       }
-      ASSERT_EQ(read.seen_version, expected)
-          << "v" << rec.vertex << " reading v" << read.neighbor
-          << " in superstep " << rec.superstep;
+      ASSERT_EQ(rec_reads[k].seen_version, expected)
+          << "v" << rec.vertex << " reading v" << in[k] << " in superstep "
+          << rec.superstep;
       ++reads;
-      seen_nonzero += read.seen_version > 0 ? 1 : 0;
+      seen_nonzero += rec_reads[k].seen_version > 0 ? 1 : 0;
     }
   }
   EXPECT_GT(reads, 1000);
